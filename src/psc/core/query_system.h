@@ -67,14 +67,6 @@ class QuerySystem {
     /// for every thread count; Monte-Carlo estimates are identical across
     /// all multi-threaded counts (see AnswerMonteCarlo).
     size_t threads = 0;
-    /// Route conjunctive-query evaluation through compiled slot-based join
-    /// plans with lazy hash indexes (see relational/query_plan.h). false
-    /// selects the legacy nested-loop interpreter (CLI:
-    /// `--no-compiled-eval`) for differential testing. NOTE: the switch is
-    /// process-global — Create applies it via
-    /// eval::SetCompiledEvalEnabled, affecting every evaluation, not just
-    /// this system's. Both engines produce identical results.
-    bool use_compiled_eval = true;
     /// Wall-clock deadline in milliseconds for each entry point (0 = no
     /// deadline; CLI: `--deadline-ms`). Every call builds a fresh budget,
     /// so the deadline applies per call, not per system. On expiry,
@@ -104,7 +96,8 @@ class QuerySystem {
     obs::Scope scope;
   };
 
-  /// Builds a system over `collection`.
+  /// Builds a system over `collection`. Touches no process-global state:
+  /// two systems with different options coexist in one process.
   static Result<QuerySystem> Create(SourceCollection collection);
   static Result<QuerySystem> Create(SourceCollection collection,
                                     Options options);

@@ -101,7 +101,6 @@ class Budget {
 
   explicit Budget(const BudgetOptions& options);
 
-  static Budget Unlimited() { return Budget(); }
   static Budget WithDeadline(int64_t deadline_ms);
   static Budget WithNodeBudget(uint64_t nodes);
 

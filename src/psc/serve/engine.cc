@@ -130,12 +130,6 @@ std::string FormatAnswerResponse(const Request& request,
 }  // namespace
 
 Engine::Engine(const EngineOptions& options) : options_(Normalize(options)) {
-  if (options_.plan_cache_capacity > 0) {
-    eval::SetQueryPlanCacheCapacity(options_.plan_cache_capacity);
-  }
-  if (options_.containment_cache_capacity > 0) {
-    SetContainmentCacheCapacity(options_.containment_cache_capacity);
-  }
   const size_t batch_threads =
       std::min(options_.max_batch, exec::ResolveThreadCount(0));
   if (batch_threads > 1) {
@@ -154,7 +148,6 @@ Engine::~Engine() {
 QuerySystem::Options Engine::SystemOptions() const {
   QuerySystem::Options options;
   options.threads = options_.solver_threads;
-  options.use_compiled_eval = options_.use_compiled_eval;
   // Every resident system adopts the drain token: one Cancel at shutdown
   // degrades all in-flight solver work instead of racing it to finish.
   options.cancel = drain_token_;

@@ -81,13 +81,6 @@ struct EngineOptions {
   /// request's own deadline_ms/node_budget. 0 = none.
   int64_t deadline_ceiling_ms = 0;
   uint64_t node_budget_ceiling = 0;
-  /// Capacity caps installed at construction for the process-global
-  /// compiled-plan cache and containment memo (0 = leave unbounded) —
-  /// a resident server must bound what the one-shot CLI could let grow.
-  size_t plan_cache_capacity = 0;
-  size_t containment_cache_capacity = 0;
-  /// Forwarded to QuerySystem::Options (process-global switch).
-  bool use_compiled_eval = true;
   /// Give every request its own obs::Scope named "serve:<verb>:<seq>" so
   /// run reports break work down per request. Off by default: scopes
   /// accumulate in the report for as long as a handle lives.

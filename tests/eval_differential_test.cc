@@ -1,9 +1,10 @@
 // Differential property tests: the compiled slot-based evaluation engine
-// (query_plan.h) must be observably identical to the legacy nested-loop
-// interpreter on randomly generated query/database pairs — including
-// built-in-heavy queries, Cartesian products, evaluation under database
-// mutation (index invalidation) and the QuerySystem surface at different
-// thread counts. Seeds are printed on failure for replay.
+// (query_plan.h) must be observably identical to the relational-algebra
+// oracle (eval_oracle.h) on randomly generated query/database pairs —
+// including built-in-heavy queries, Cartesian products and evaluation under
+// database mutation (index invalidation) — and the QuerySystem surface
+// must answer identically at different thread counts. Seeds are printed
+// on failure for replay.
 
 #include <cstdint>
 #include <set>
@@ -16,6 +17,7 @@
 #include "psc/relational/database.h"
 #include "psc/relational/query_plan.h"
 #include "psc/util/random.h"
+#include "eval_oracle.h"
 #include "test_util.h"
 
 namespace psc {
@@ -23,18 +25,14 @@ namespace {
 
 using testing::MakeUnaryCollection;
 using testing::MakeUnarySource;
+using testing::OracleEvaluate;
+using testing::OracleValuations;
 using testing::Q;
 
 class EvalDifferentialTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    eval::SetCompiledEvalEnabled(true);
-    eval::ClearQueryPlanCache();
-  }
-  void TearDown() override {
-    eval::SetCompiledEvalEnabled(true);
-    eval::ClearQueryPlanCache();
-  }
+  void SetUp() override { eval::ClearQueryPlanCache(); }
+  void TearDown() override { eval::ClearQueryPlanCache(); }
 };
 
 constexpr const char* kBuiltins[] = {"Lt", "Le", "Gt", "Ge",
@@ -136,28 +134,18 @@ std::set<Valuation> CollectValuations(const ConjunctiveQuery& query,
   return out;
 }
 
-/// Asserts compiled and legacy agree on Evaluate and on the valuation set,
-/// with and without an initial binding.
-void ExpectEnginesAgree(const ConjunctiveQuery& query, const Database& db,
-                        const Valuation& initial, uint64_t seed) {
-  eval::SetCompiledEvalEnabled(true);
+/// Asserts the compiled engine agrees with the algebra oracle on Evaluate
+/// and on the valuation set, with and without an initial binding.
+void ExpectMatchesOracle(const ConjunctiveQuery& query, const Database& db,
+                         const Valuation& initial, uint64_t seed) {
   auto compiled_eval = query.Evaluate(db);
-  const auto compiled_vals = CollectValuations(query, db, {});
-  const auto compiled_bound = CollectValuations(query, db, initial);
-
-  eval::SetCompiledEvalEnabled(false);
-  auto legacy_eval = query.Evaluate(db);
-  const auto legacy_vals = CollectValuations(query, db, {});
-  const auto legacy_bound = CollectValuations(query, db, initial);
-  eval::SetCompiledEvalEnabled(true);
-
   ASSERT_TRUE(compiled_eval.ok()) << compiled_eval.status().ToString();
-  ASSERT_TRUE(legacy_eval.ok()) << legacy_eval.status().ToString();
-  EXPECT_EQ(*compiled_eval, *legacy_eval)
+  EXPECT_EQ(*compiled_eval, OracleEvaluate(query, db))
       << "Evaluate mismatch, seed=" << seed << " query=" << query.ToString();
-  EXPECT_EQ(compiled_vals, legacy_vals)
+  EXPECT_EQ(CollectValuations(query, db, {}), OracleValuations(query, db, {}))
       << "valuation mismatch, seed=" << seed << " query=" << query.ToString();
-  EXPECT_EQ(compiled_bound, legacy_bound)
+  EXPECT_EQ(CollectValuations(query, db, initial),
+            OracleValuations(query, db, initial))
       << "bound-valuation mismatch, seed=" << seed
       << " query=" << query.ToString();
 }
@@ -185,7 +173,7 @@ TEST_F(EvalDifferentialTest, HundredRandomInstancesAgree) {
     }
     initial["extra_var"] = Value("passthrough");
 
-    ExpectEnginesAgree(instance.query, instance.db, initial, seed);
+    ExpectMatchesOracle(instance.query, instance.db, initial, seed);
   }
 }
 
@@ -201,13 +189,13 @@ TEST_F(EvalDifferentialTest, BuiltinHeavyInstancesAgree) {
     auto instance = MakeRandomInstance(rng, /*num_atoms=*/2,
                                        /*num_builtins=*/4, /*domain=*/6,
                                        /*tuples_per_relation=*/24);
-    ExpectEnginesAgree(instance.query, instance.db, {}, seed);
+    ExpectMatchesOracle(instance.query, instance.db, {}, seed);
   }
 }
 
 TEST_F(EvalDifferentialTest, CartesianProductsAgree) {
   // Disjoint variable sets defeat the join-ordering heuristic entirely;
-  // the engines must still enumerate the same product.
+  // the plan must still enumerate the oracle's product.
   Database db;
   for (int64_t i = 0; i < 20; ++i) {
     db.AddFact("R0", {Value(i)});
@@ -219,7 +207,7 @@ TEST_F(EvalDifferentialTest, CartesianProductsAgree) {
            "V(x, w) <- R1(x, y), R1(z, w)",
        }) {
     SCOPED_TRACE(text);
-    ExpectEnginesAgree(Q(text), db, {}, 0);
+    ExpectMatchesOracle(Q(text), db, {}, 0);
   }
 }
 
@@ -230,10 +218,10 @@ TEST_F(EvalDifferentialTest, MutationSequenceKeepsEnginesInAgreement) {
                                      /*domain=*/6, /*tuples_per_relation=*/32);
   // Interleave evaluations with mutations: every evaluation after a
   // mutation must see the new facts (stale indexes would diverge from the
-  // legacy interpreter, which scans fresh state every time).
+  // oracle, which materializes fresh state every time).
   for (int step = 0; step < 12; ++step) {
     SCOPED_TRACE("mutation step " + std::to_string(step));
-    ExpectEnginesAgree(instance.query, instance.db, {}, kSeed);
+    ExpectMatchesOracle(instance.query, instance.db, {}, kSeed);
     const std::string rel = "R" + std::to_string(rng.UniformInt(0, 2));
     const size_t arity = rel == "R0" ? 1 : rel == "R1" ? 2 : 3;
     Tuple tuple;
@@ -247,9 +235,9 @@ TEST_F(EvalDifferentialTest, MutationSequenceKeepsEnginesInAgreement) {
   }
 }
 
-TEST_F(EvalDifferentialTest, QuerySystemIdenticalAcrossEnginesAndThreads) {
+TEST_F(EvalDifferentialTest, QuerySystemIdenticalAcrossThreads) {
   // End-to-end: exact answers (confidences, certain, possible) must be
-  // bit-identical across {compiled, legacy} × {1 thread, 4 threads}.
+  // bit-identical at 1 and 4 threads.
   auto make_collection = [] {
     // Known-satisfiable measures (same shape as the obs integration test).
     return MakeUnaryCollection(
@@ -260,19 +248,14 @@ TEST_F(EvalDifferentialTest, QuerySystemIdenticalAcrossEnginesAndThreads) {
   const auto query = Q("V(x, y) <- R(x), R(y), Before(x, y)");
 
   std::vector<QueryAnswer> answers;
-  for (const bool compiled : {true, false}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      QuerySystem::Options options;
-      options.use_compiled_eval = compiled;
-      options.threads = threads;
-      PSC_ASSERT_OK_AND_ASSIGN(
-          auto system, QuerySystem::Create(make_collection(), options));
-      PSC_ASSERT_OK_AND_ASSIGN(auto answer,
-                               system.AnswerExact(query, domain));
-      answers.push_back(std::move(answer));
-    }
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    QuerySystem::Options options;
+    options.threads = threads;
+    PSC_ASSERT_OK_AND_ASSIGN(auto system,
+                             QuerySystem::Create(make_collection(), options));
+    PSC_ASSERT_OK_AND_ASSIGN(auto answer, system.AnswerExact(query, domain));
+    answers.push_back(std::move(answer));
   }
-  eval::SetCompiledEvalEnabled(true);
 
   for (size_t i = 1; i < answers.size(); ++i) {
     SCOPED_TRACE("configuration " + std::to_string(i));

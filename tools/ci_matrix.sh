@@ -152,45 +152,6 @@ run_smoke "psc confidences (example 5.1)" \
 run_smoke "psc audit (conflicted)" \
   "${smoke_build}/tools/psc" audit data/conflicted.psc
 
-# Evaluation-engine smoke: the compiled slot-based join plans (the
-# default) and the legacy interpreter (--no-compiled-eval) must print
-# byte-identical reports — the differential tests made end-to-end.
-echo "=== compiled vs legacy evaluation smoke ==="
-run_engine_smoke() {
-  local label="$1"
-  shift
-  local compiled legacy
-  compiled="$("$@" --quiet)" || true
-  legacy="$("$@" --quiet --no-compiled-eval)" || true
-  if [[ "${compiled}" != "${legacy}" ]]; then
-    echo "FAIL: ${label} output differs between compiled and legacy eval" >&2
-    diff <(echo "${compiled}") <(echo "${legacy}") >&2 || true
-    exit 1
-  fi
-  echo "${label}: compiled == --no-compiled-eval"
-}
-run_engine_smoke "psc check (projection views)" \
-  "${smoke_build}/tools/psc" check "${smoke_input}"
-run_engine_smoke "psc confidences (example 5.1)" \
-  "${smoke_build}/tools/psc" confidences data/example51.psc
-run_engine_smoke "psc answer (example 5.1)" \
-  "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)"
-run_engine_smoke "psc audit (conflicted)" \
-  "${smoke_build}/tools/psc" audit data/conflicted.psc
-
-# Query-evaluation bench smoke: the sweep cross-checks every compiled
-# result against the legacy interpreter (non-zero exit on mismatch) and
-# its metrics record must carry the eval.* counters.
-echo "=== bench_query_eval smoke ==="
-bench_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}"' EXIT
-PSC_BENCH_METRICS_OUT="${bench_metrics}" \
-  "${smoke_build}/bench/bench_query_eval" --smoke
-python3 tools/check_metrics_schema.py \
-  --require-counter eval.probes \
-  --require-counter eval.plans_compiled \
-  "${bench_metrics}"
-
 # Incremental-engine bench smoke: the streaming-update sweep cross-checks
 # every patched-index probe and every cached/revalidated verdict against
 # the full-recompute baseline (non-zero exit on mismatch), and its
@@ -199,7 +160,7 @@ python3 tools/check_metrics_schema.py \
 # dirty-scoped consistency skips.
 echo "=== bench_incremental smoke ==="
 delta_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${delta_metrics}" \
   "${smoke_build}/bench/bench_incremental" --smoke
 python3 tools/check_metrics_schema.py \
@@ -216,7 +177,7 @@ python3 tools/check_metrics_schema.py \
 # per-verb request counters and cross-session batch dedup.
 echo "=== bench_serving smoke ==="
 serving_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}" "${serving_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${serving_metrics}" \
   "${smoke_build}/bench/bench_serving" --smoke
 python3 tools/check_metrics_schema.py \
@@ -232,7 +193,7 @@ python3 tools/check_metrics_schema.py \
 # exit 0 on the shutdown verb.
 echo "=== pscd end-to-end serving smoke ==="
 serve_dir="$(mktemp -d)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
 serve_sock="${serve_dir}/pscd.sock"
 "${smoke_build}/tools/pscd" --unix "${serve_sock}" \
   --load data/example51.psc > "${serve_dir}/pscd.log" 2>&1 &
@@ -296,7 +257,7 @@ echo "pscd served racing clients and drained cleanly (exit 0)"
 # thread-count independent.
 echo "=== --apply-delta streaming smoke ==="
 delta_script="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
 cat > "${delta_script}" <<'EOF'
 + S1("c")
 --
@@ -313,7 +274,7 @@ run_smoke "psc check --apply-delta (example 5.1)" \
 echo "=== --deadline-ms graceful-degradation smoke ==="
 deadline_input="$(mktemp)"
 deadline_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
 {
   printf 'source Blocker {\n  view: V0(x) <- R(x), M(x)\n'
   printf '  completeness: 1\n  soundness: 0\n}\n'
@@ -341,7 +302,7 @@ python3 tools/check_metrics_schema.py \
 echo "=== query-scoped telemetry smoke ==="
 telemetry_trace="$(mktemp)"
 telemetry_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
 "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)" \
   --method mc --samples 20000 --threads 4 --quiet \
   --trace-out "${telemetry_trace}" --metrics-out "${telemetry_metrics}"
@@ -352,4 +313,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan, Debug lock-rank checks, clang stages (or skipped), --threads/eval-engine equivalence, deadline degradation, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan, Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, query-scoped telemetry, incremental-delta and resident-serving smokes green"

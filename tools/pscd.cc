@@ -25,7 +25,6 @@
 //   --plan-cache-capacity N    cap the compiled-plan cache (0 = unbounded)
 //   --memo-capacity N          cap the containment memo (0 = unbounded)
 //   --per-request-scopes       one obs::Scope per request in the report
-//   --no-compiled-eval         legacy interpreter (differential testing)
 //   --metrics-out PATH         write the run report as JSON on shutdown
 //   --trace-out PATH           write Chrome trace-event JSON on shutdown
 //
@@ -46,6 +45,8 @@
 #include "psc/obs/chrome_trace.h"
 #include "psc/obs/log.h"
 #include "psc/obs/report.h"
+#include "psc/relational/query_plan.h"
+#include "psc/rewriting/containment.h"
 #include "psc/serve/engine.h"
 #include "psc/serve/protocol.h"
 #include "psc/serve/socket_server.h"
@@ -68,6 +69,11 @@ struct DaemonOptions {
   serve::EngineOptions engine;
   serve::SocketServerOptions socket;
   std::vector<std::pair<std::string, std::string>> preloads;  // name, file
+  /// Caps for the process-global plan cache and containment memo, set
+  /// once at startup (0 = unbounded): a resident server must bound what
+  /// the one-shot CLI can let grow.
+  size_t plan_cache_capacity = 0;
+  size_t memo_capacity = 0;
   std::string metrics_out;
   std::string trace_out;
 };
@@ -79,8 +85,7 @@ int Usage() {
                "[--max-queue N] [--max-batch N] [--deadline-ceiling-ms N] "
                "[--node-budget-ceiling N] [--plan-cache-capacity N] "
                "[--memo-capacity N] [--per-request-scopes] "
-               "[--no-compiled-eval] [--metrics-out PATH] "
-               "[--trace-out PATH]\n");
+               "[--metrics-out PATH] [--trace-out PATH]\n");
   return 2;
 }
 
@@ -142,14 +147,12 @@ Result<DaemonOptions> ParseArgs(int argc, char** argv) {
       PSC_ASSIGN_OR_RETURN(options.engine.node_budget_ceiling, next_uint());
     } else if (arg == "--plan-cache-capacity") {
       PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
-      options.engine.plan_cache_capacity = static_cast<size_t>(n);
+      options.plan_cache_capacity = static_cast<size_t>(n);
     } else if (arg == "--memo-capacity") {
       PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
-      options.engine.containment_cache_capacity = static_cast<size_t>(n);
+      options.memo_capacity = static_cast<size_t>(n);
     } else if (arg == "--per-request-scopes") {
       options.engine.per_request_scopes = true;
-    } else if (arg == "--no-compiled-eval") {
-      options.engine.use_compiled_eval = false;
     } else if (arg == "--metrics-out") {
       PSC_ASSIGN_OR_RETURN(options.metrics_out, next());
     } else if (arg == "--trace-out") {
@@ -227,6 +230,12 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
+  if (options->plan_cache_capacity > 0) {
+    eval::SetQueryPlanCacheCapacity(options->plan_cache_capacity);
+  }
+  if (options->memo_capacity > 0) {
+    SetContainmentCacheCapacity(options->memo_capacity);
+  }
   serve::Engine engine(options->engine);
   for (const auto& [name, file] : options->preloads) {
     const Status loaded = Preload(engine, name, file);
