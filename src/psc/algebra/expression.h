@@ -24,8 +24,12 @@ using AlgebraExprPtr = std::shared_ptr<const AlgebraExpr>;
 ///    confidence-annotated base relations (projection ⊕, selection
 ///    pass-through, product ·, plus the join/union extensions);
 ///  * `EvalInWorld` — plain set semantics inside one concrete possible
-///    world, used to compute exact answer-tuple confidences by averaging
-///    over poss(S) (Theorem 5.1's left-hand side).
+///    world, materializing every intermediate relation (π(σ(×)) builds
+///    the full product before filtering). It is the reference evaluator:
+///    the tests and benchmarks check the compiled answer path against it.
+///    Exact and Monte-Carlo answering do not call it; they lower the plan
+///    once per call into compiled conjunctive queries (`LowerToQueries`
+///    in plan_compiler.h) and run those in every world.
 class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
  public:
   enum class Kind { kBase, kProject, kSelect, kProduct, kJoin, kUnion };
@@ -50,6 +54,22 @@ class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
   Kind kind() const { return kind_; }
   size_t OutputArity() const { return output_arity_; }
   const std::string& base_name() const { return base_name_; }
+
+  /// \name Read-only structure (for plan rewriting, e.g. LowerToQueries)
+  /// @{
+  /// The operand of π/σ and the left operand of ×/⋈/∪; null for a base.
+  const AlgebraExprPtr& left() const { return left_; }
+  /// The right operand of ×/⋈/∪; null otherwise.
+  const AlgebraExprPtr& right() const { return right_; }
+  /// π's output columns (child column indexes).
+  const std::vector<size_t>& columns() const { return columns_; }
+  /// σ's conjunction.
+  const std::vector<Condition>& conditions() const { return conditions_; }
+  /// ⋈'s (left column, right column) equality pairs.
+  const std::vector<std::pair<size_t, size_t>>& join_columns() const {
+    return join_columns_;
+  }
+  /// @}
 
   /// Names of all base relations referenced by the plan.
   std::set<std::string> BaseRelations() const;

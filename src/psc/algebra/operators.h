@@ -73,8 +73,9 @@ Result<ProbRelation> Union(const ProbRelation& left,
 
 /// \name Deterministic counterparts over plain relations.
 ///
-/// Used to evaluate a query plan inside one concrete possible world when
-/// computing exact per-world confidences (experiment E5).
+/// Used by `AlgebraExpr::EvalInWorld` / `EvalCertainWithNulls` — the
+/// reference evaluator the compiled answer path is tested against, and
+/// certain answers over naive tables.
 /// @{
 Result<Relation> ProjectRelation(const Relation& input, size_t arity,
                                  const std::vector<size_t>& columns);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "psc/algebra/plan_compiler.h"
 #include "psc/counting/identity_instance.h"
@@ -13,6 +15,7 @@
 #include "psc/exec/thread_pool.h"
 #include "psc/obs/metrics.h"
 #include "psc/obs/trace.h"
+#include "psc/relational/query_plan.h"
 #include "psc/util/random.h"
 #include "psc/util/string_util.h"
 
@@ -24,34 +27,65 @@ namespace {
 /// confidences in the compositional path.
 constexpr double kCertainEpsilon = 1e-9;
 
+/// One compiled plan per conjunctive query of a lowered algebra plan; a
+/// world's answer is the union of the plans' answers. Immutable, so the
+/// Monte-Carlo workers share one instance.
+using CompiledPlans = std::vector<std::shared_ptr<const eval::QueryPlan>>;
+
+/// Lowers `query` once per answer call (LowerToQueries validates it
+/// against `schema` first) and fetches each query's compiled plan.
+Result<CompiledPlans> LowerPlan(const AlgebraExpr& query,
+                                const Schema& schema) {
+  PSC_OBS_SPAN("query.lower_plan");
+  PSC_ASSIGN_OR_RETURN(const std::vector<ConjunctiveQuery> queries,
+                       LowerToQueries(query, schema));
+  CompiledPlans plans;
+  plans.reserve(queries.size());
+  for (const ConjunctiveQuery& cq : queries) {
+    plans.push_back(eval::GetOrCompilePlan(cq, {}));
+  }
+  PSC_OBS_COUNTER_ADD("query.plans_lowered", plans.size());
+  return plans;
+}
+
 /// Accumulates per-world query results into certain/possible sets and
 /// containment counts. Default-constructed instances are empty shells for
-/// container use; Add requires a query-bound instance. Accumulators over
-/// disjoint world blocks merge with MergeFrom — intersection, union and
+/// container use; AddWorld requires a plan-bound instance. Accumulators
+/// over disjoint world blocks merge with MergeFrom — intersection and
 /// count addition are order-insensitive, so a block-parallel accumulation
 /// finishes with exactly the sequential result.
 class AnswerAccumulator {
  public:
   AnswerAccumulator() = default;
-  explicit AnswerAccumulator(const AlgebraExprPtr* query) : query_(query) {}
+  AnswerAccumulator(const CompiledPlans* plans, size_t arity)
+      : plans_(plans), arity_(arity) {}
 
-  Status Add(const Database& world) {
-    PSC_ASSIGN_OR_RETURN(const Relation answer, (*query_)->EvalInWorld(world));
-    if (worlds_ == 0) {
-      certain_ = answer;
-    } else {
-      Relation still_certain;
-      for (const Tuple& tuple : certain_) {
-        if (answer.count(tuple) > 0) still_certain.insert(tuple);
+  /// Evaluates the query in `world` and adds its answer.
+  Status AddWorld(const Database& world) {
+    Relation answer;
+    for (const auto& plan : *plans_) {
+      PSC_ASSIGN_OR_RETURN(Relation part, plan->Evaluate(world));
+      if (answer.empty()) {
+        answer = std::move(part);
+      } else {
+        answer.merge(part);
       }
-      certain_ = std::move(still_certain);
     }
-    for (const Tuple& tuple : answer) {
-      possible_.insert(tuple);
-      ++containment_[tuple];
+    Add(std::move(answer));
+    return Status::OK();
+  }
+
+  /// Adds one world's answer.
+  void Add(Relation answer) {
+    for (const Tuple& tuple : answer) ++containment_[tuple];
+    if (worlds_ == 0) {
+      certain_ = std::move(answer);
+    } else {
+      std::erase_if(certain_, [&](const Tuple& tuple) {
+        return answer.count(tuple) == 0;
+      });
     }
     ++worlds_;
-    return Status::OK();
   }
 
   /// Folds another accumulator (over a disjoint set of worlds) into this
@@ -63,12 +97,9 @@ class AnswerAccumulator {
       *this = std::move(other);
       return;
     }
-    Relation still_certain;
-    for (const Tuple& tuple : certain_) {
-      if (other.certain_.count(tuple) > 0) still_certain.insert(tuple);
-    }
-    certain_ = std::move(still_certain);
-    for (const Tuple& tuple : other.possible_) possible_.insert(tuple);
+    std::erase_if(certain_, [&](const Tuple& tuple) {
+      return other.certain_.count(tuple) == 0;
+    });
     for (const auto& [tuple, count] : other.containment_) {
       containment_[tuple] += count;
     }
@@ -84,9 +115,10 @@ class AnswerAccumulator {
     answer.method = method;
     answer.worlds_used = worlds_;
     answer.certain = certain_;
-    answer.possible = possible_;
-    answer.confidences = ProbRelation((*query_)->OutputArity());
+    answer.confidences = ProbRelation(arity_);
+    // Q*(S) is exactly the set of tuples contained in some world.
     for (const auto& [tuple, count] : containment_) {
+      answer.possible.insert(answer.possible.end(), tuple);
       PSC_RETURN_NOT_OK(answer.confidences.Insert(
           tuple, static_cast<double>(count) / static_cast<double>(worlds_)));
     }
@@ -96,10 +128,10 @@ class AnswerAccumulator {
   uint64_t worlds() const { return worlds_; }
 
  private:
-  const AlgebraExprPtr* query_ = nullptr;
+  const CompiledPlans* plans_ = nullptr;
+  size_t arity_ = 0;
   uint64_t worlds_ = 0;
   Relation certain_;
-  Relation possible_;
   std::map<Tuple, uint64_t> containment_;
 };
 
@@ -163,10 +195,12 @@ Result<QueryAnswer> QuerySystem::AnswerExact(
   if (query == nullptr) return Status::InvalidArgument("null query plan");
   const obs::ScopeGuard scope_guard(options_.scope);
   PSC_OBS_SPAN("query.answer_exact");
-  AnswerAccumulator accumulator(&query);
+  PSC_ASSIGN_OR_RETURN(const CompiledPlans plans,
+                       LowerPlan(*query, collection_.schema()));
+  AnswerAccumulator accumulator(&plans, query->OutputArity());
   Status world_error;
   const auto consume = [&](const Database& world) {
-    world_error = accumulator.Add(world);
+    world_error = accumulator.AddWorld(world);
     return world_error.ok();
   };
 
@@ -248,6 +282,8 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
   if (samples == 0) return Status::InvalidArgument("samples must be >= 1");
   const obs::ScopeGuard scope_guard(options_.scope);
   PSC_OBS_SPAN("query.answer_monte_carlo");
+  PSC_ASSIGN_OR_RETURN(const CompiledPlans plans,
+                       LowerPlan(*query, collection_.schema()));
   if (!collection_.AllIdentityViews()) {
     return Status::Unimplemented(
         "Monte-Carlo answering requires identity views (uniform world "
@@ -265,7 +301,7 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
     // order. Kept verbatim so --threads 1 replays previous releases
     // byte for byte.
     Rng rng(seed);
-    AnswerAccumulator accumulator(&query);
+    AnswerAccumulator accumulator(&plans, query->OutputArity());
     for (uint64_t i = 0; i < samples; ++i) {
       // A tripped budget truncates: the samples drawn so far are a valid
       // (smaller) estimate. With zero samples there is nothing to report.
@@ -278,7 +314,7 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
         PSC_OBS_COUNTER_ADD("query.worlds_used", answer.worlds_used);
         return answer;
       }
-      PSC_RETURN_NOT_OK(accumulator.Add(sampler.Sample(&rng)));
+      PSC_RETURN_NOT_OK(accumulator.AddWorld(sampler.Sample(&rng)));
     }
     PSC_ASSIGN_OR_RETURN(QueryAnswer answer,
                          accumulator.Finish("monte-carlo"));
@@ -304,7 +340,7 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
       &pool, static_cast<size_t>(num_blocks), BlockResult{},
       [&](size_t block) {
         BlockResult result;
-        result.acc = AnswerAccumulator(&query);
+        result.acc = AnswerAccumulator(&plans, query->OutputArity());
         Rng rng(MixSeed(seed, block));
         const uint64_t begin = block * kBlockSamples;
         const uint64_t end = std::min(samples, begin + kBlockSamples);
@@ -312,7 +348,7 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
           // On a trip this block returns its samples so far; the merged
           // partial answer is flagged truncated below.
           if (!budget.Charge()) break;
-          result.error = result.acc.Add(sampler.Sample(&rng));
+          result.error = result.acc.AddWorld(sampler.Sample(&rng));
           if (!result.error.ok()) break;
         }
         return result;

@@ -117,6 +117,13 @@ class QuerySystem {
   /// certain/possible answers and exact confidences. Exponential; bounded
   /// by Options::max_worlds. Works for identity collections over `domain`
   /// (group enumeration) and falls back to brute force otherwise.
+  ///
+  /// The plan is lowered once per call into compiled conjunctive queries
+  /// (LowerToQueries in plan_compiler.h, eval::QueryPlan); every world
+  /// runs those, never `EvalInWorld`, and a world's answer is the union
+  /// of theirs. A plan that does not fit the collection's schema (a base
+  /// arity mismatch, a column out of range) is InvalidArgument before any
+  /// world is enumerated.
   Result<QueryAnswer> AnswerExact(const AlgebraExprPtr& query,
                                   const std::vector<Value>& domain) const;
 
@@ -130,6 +137,8 @@ class QuerySystem {
   /// \brief Monte-Carlo answering: `samples` exact-uniform worlds from
   /// poss(S); confidences are sample frequencies. The certain/possible
   /// sets are *estimates* (tuples seen in every / any sampled world).
+  /// Lowers and validates the plan like AnswerExact; the parallel
+  /// workers share the one set of compiled plans.
   Result<QueryAnswer> AnswerMonteCarlo(const AlgebraExprPtr& query,
                                        const std::vector<Value>& domain,
                                        uint64_t samples, uint64_t seed) const;
@@ -138,7 +147,9 @@ class QuerySystem {
   ///
   /// Accept the paper's query notation directly; the query is compiled
   /// into an algebra plan (see plan_compiler.h) and dispatched to the
-  /// corresponding method above.
+  /// corresponding method above, so there is one answer path. Exact and
+  /// Monte-Carlo answering lower that plan straight back to a
+  /// conjunctive query; the round trip costs microseconds per call.
   /// @{
   Result<QueryAnswer> AnswerExact(const ConjunctiveQuery& query,
                                   const std::vector<Value>& domain) const;

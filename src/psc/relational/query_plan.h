@@ -35,9 +35,13 @@
 ///
 /// Plans are memoized in a process-wide sharded cache keyed by the query's
 /// canonical string plus the set of initially bound variables; see
-/// `GetOrCompilePlan`. The differential oracle is the algebra evaluator
-/// (`CompileQuery` + `AlgebraExpr::EvalInWorld`), which shares no code
-/// with this file; tests/eval_differential_test.cc compares the two.
+/// `GetOrCompilePlan`. Besides view evaluation, the plans run in every
+/// possible world of exact and Monte-Carlo answering, lowered from the
+/// query's algebra plan (`LowerToQueries`, algebra/plan_compiler.h). The
+/// differential oracle is the algebra evaluator (`CompileQuery` +
+/// `AlgebraExpr::EvalInWorld`), which shares no code with this file;
+/// tests/eval_differential_test.cc and
+/// tests/core_answer_differential_test.cc compare the two.
 
 #include <cstdint>
 #include <functional>

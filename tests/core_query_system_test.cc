@@ -162,6 +162,93 @@ TEST(QuerySystemTest, NullQueryRejected) {
           .ok());
 }
 
+// Malformed plans are rejected while the plan is lowered, before any
+// world is enumerated: the verdict must not depend on whether some world
+// holds a tuple that would expose the defect.
+std::vector<std::pair<std::string, AlgebraExprPtr>> MalformedPlans() {
+  return {
+      {"base arity mismatch", AlgebraExpr::Base("R", 2)},
+      {"projection column out of range",
+       AlgebraExpr::Project(AlgebraExpr::Base("R", 1), {0, 1})},
+      {"condition column out of range",
+       AlgebraExpr::Select(AlgebraExpr::Base("R", 1),
+                           {Condition::WithConstant(1, "Eq",
+                                                    Value(int64_t{0}))})},
+      {"condition rhs column out of range",
+       AlgebraExpr::Select(AlgebraExpr::Base("R", 1),
+                           {Condition::WithColumn(0, "Lt", 3)})},
+      {"malformed branch under a product",
+       AlgebraExpr::Product(AlgebraExpr::Base("R", 1),
+                            AlgebraExpr::Base("R", 3))},
+  };
+}
+
+void ExpectAllRejected(const QuerySystem& system,
+                       const std::vector<Value>& domain) {
+  for (const auto& [what, plan] : MalformedPlans()) {
+    EXPECT_EQ(system.AnswerExact(plan, domain).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(system.AnswerMonteCarlo(plan, domain, 16, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
+}
+
+TEST(QuerySystemTest, MalformedPlansRejectedUpFront) {
+  ExpectAllRejected(Example51System(), IntDomain(4));
+}
+
+TEST(QuerySystemTest, MalformedPlansRejectedWhenEveryWorldIsEmpty) {
+  // Completeness 1 with an empty extension forces φ(D) = ∅: the only
+  // possible world is the empty database.
+  auto system = QuerySystem::Create(
+      MakeUnaryCollection({MakeUnarySource("S1", {}, "1", "1")}));
+  ASSERT_TRUE(system.ok());
+  auto answer = system->AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(3));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->worlds_used, 1u);
+  EXPECT_TRUE(answer->possible.empty());
+  ExpectAllRejected(*system, IntDomain(3));
+}
+
+TEST(QuerySystemTest, MalformedPlansRejectedOnBruteForcePath) {
+  auto view = testing::Q("V(x) <- E(x, y), N(y)");
+  auto source = SourceDescriptor::Create("J", view, {U(0)}, Rational::Zero(),
+                                         Rational::One());
+  ASSERT_TRUE(source.ok());
+  auto collection = SourceCollection::Create({*source});
+  ASSERT_TRUE(collection.ok());
+  auto system = QuerySystem::Create(*collection);
+  ASSERT_TRUE(system.ok());
+  for (const AlgebraExprPtr& plan :
+       {AlgebraExpr::Base("E", 3),
+        AlgebraExpr::Project(AlgebraExpr::Base("E", 2), {2}),
+        AlgebraExpr::Join(AlgebraExpr::Base("E", 2), AlgebraExpr::Base("N", 1),
+                          {{1, 1}})}) {
+    EXPECT_EQ(system->AnswerExact(plan, IntDomain(2)).status().code(),
+              StatusCode::kInvalidArgument)
+        << plan->ToString();
+  }
+}
+
+TEST(QuerySystemTest, RelationOutsideTheSchemaIsEmpty) {
+  const QuerySystem system = Example51System();
+  auto answer = system.AnswerExact(
+      AlgebraExpr::Union(AlgebraExpr::Base("R", 1),
+                         AlgebraExpr::Project(AlgebraExpr::Base("Nope", 3),
+                                              {2})),
+      IntDomain(4));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->worlds_used, 7u);
+  EXPECT_EQ(answer->possible.size(), 4u);
+  auto none = system.AnswerExact(AlgebraExpr::Base("Nope", 2), IntDomain(4));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->worlds_used, 7u);
+  EXPECT_TRUE(none->possible.empty());
+  EXPECT_TRUE(none->certain.empty());
+}
+
 TEST(QuerySystemTest, CertainSubsetOfPossible) {
   const QuerySystem system = Example51System();
   auto answer = system.AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(4));

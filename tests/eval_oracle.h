@@ -8,13 +8,22 @@
 /// independent set-semantics implementation of φ(D) — π(σ(×)) over
 /// materialized relations, no indexes, no join reordering — so a planner,
 /// index or hoisting bug in the compiled plans shows up as a mismatch.
+///
+/// `ReferenceAccumulator` is the same oracle for the answer paths of
+/// QuerySystem (exact and Monte-Carlo), which lower an algebra plan to
+/// compiled conjunctive queries: it evaluates the plan itself with
+/// `EvalInWorld` in every world it is given.
 
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "psc/algebra/plan_compiler.h"
+#include "psc/core/query_system.h"
 #include "psc/relational/conjunctive_query.h"
 #include "psc/relational/database.h"
 
@@ -98,6 +107,71 @@ inline std::vector<Valuation> OracleWitnessValuations(
       OracleValuations(query, db, **initial);
   return {valuations.begin(), valuations.end()};
 }
+
+/// Oracle for QuerySystem's world accumulation: feed it the worlds an
+/// answer call visits; per world it evaluates the plan with EvalInWorld
+/// and keeps certain = ⋂ Q(D), possible = ⋃ Q(D) and, per tuple, the
+/// exact number of worlds whose answer contains it.
+class ReferenceAccumulator {
+ public:
+  explicit ReferenceAccumulator(AlgebraExprPtr plan)
+      : plan_(std::move(plan)) {}
+
+  /// Adds one world; a failed evaluation is a test failure.
+  void Add(const Database& world) {
+    auto answer = plan_->EvalInWorld(world);
+    if (!answer.ok()) {
+      ADD_FAILURE() << plan_->ToString() << ": "
+                    << answer.status().ToString();
+      return;
+    }
+    if (worlds_ == 0) {
+      certain_ = *answer;
+    } else {
+      Relation still_certain;
+      for (const Tuple& tuple : certain_) {
+        if (answer->count(tuple) > 0) still_certain.insert(tuple);
+      }
+      certain_ = std::move(still_certain);
+    }
+    for (const Tuple& tuple : *answer) {
+      possible_.insert(tuple);
+      ++counts_[tuple];
+    }
+    ++worlds_;
+  }
+
+  uint64_t worlds() const { return worlds_; }
+
+  /// Expects `answer` to be bit-identical to the reference: the same
+  /// worlds, certain and possible sets, and every confidence exactly
+  /// count / worlds.
+  void ExpectMatches(const QueryAnswer& answer,
+                     const std::string& context) const {
+    EXPECT_EQ(answer.worlds_used, worlds_) << context;
+    EXPECT_EQ(answer.certain, certain_) << context;
+    EXPECT_EQ(answer.possible, possible_) << context;
+    EXPECT_EQ(answer.confidences.arity(), plan_->OutputArity()) << context;
+    EXPECT_EQ(answer.confidences.size(), counts_.size()) << context;
+    for (const auto& [tuple, count] : counts_) {
+      const auto confidence = answer.confidences.ConfidenceOf(tuple);
+      if (!confidence.ok()) {
+        ADD_FAILURE() << context << ": missing " << TupleToString(tuple);
+        continue;
+      }
+      EXPECT_EQ(*confidence,
+                static_cast<double>(count) / static_cast<double>(worlds_))
+          << context << ": " << TupleToString(tuple);
+    }
+  }
+
+ private:
+  AlgebraExprPtr plan_;
+  uint64_t worlds_ = 0;
+  Relation certain_;
+  Relation possible_;
+  std::map<Tuple, uint64_t> counts_;
+};
 
 }  // namespace psc::testing
 
