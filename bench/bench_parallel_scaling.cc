@@ -10,6 +10,7 @@
 // to an overhead measurement, which is also worth tracking.
 
 #include <cstdio>
+#include <map>
 
 #include "bench_util.h"
 #include "benchmark/benchmark.h"
@@ -102,13 +103,8 @@ void SweepCounting() {
     BinomialTable binomials;
     SignatureCounter counter(&*instance, &binomials);
     bench_util::Stopwatch stopwatch;
-    Result<CountingOutcome> outcome = Status::Internal("unset");
-    if (threads == 1) {
-      outcome = counter.Count();
-    } else {
-      exec::ThreadPool pool(threads);
-      outcome = counter.Count(uint64_t{1} << 26, &pool);
-    }
+    Result<CountingOutcome> outcome =
+        counter.Count(uint64_t{1} << 26, exec::SharedPool(threads));
     const double ms = stopwatch.ElapsedMillis();
     if (!outcome.ok()) continue;
     if (threads == 1) {
@@ -129,7 +125,7 @@ void SweepSampling() {
   const SourceCollection collection = CountingCollection();
   auto query = ParseQuery("A(x) <- R(x)");
   double base_ms = 0.0;
-  size_t reference_tuples = 0;
+  std::map<Tuple, double> reference;
   for (const size_t threads : kThreadCounts) {
     QuerySystem::Options options;
     options.threads = threads;
@@ -140,30 +136,29 @@ void SweepSampling() {
         system->AnswerMonteCarlo(*query, IntDomain(12), 20000, /*seed=*/11);
     const double ms = stopwatch.ElapsedMillis();
     if (!answer.ok()) continue;
-    if (threads == 1) base_ms = ms;
-    // Threads >= 2 share one counter-based stream layout; the thread-1
-    // path keeps the historical stream, so only the multi-threaded rows
-    // must agree exactly.
-    if (threads == 2) reference_tuples = answer->confidences.size();
-    const bool comparable = threads >= 2 && reference_tuples != 0;
+    // Every thread count draws the same seeded sample blocks, so every
+    // row must reproduce the single-threaded estimate exactly.
+    if (threads == 1) {
+      base_ms = ms;
+      reference = answer->confidences.entries();
+    }
     std::printf("%8zu | %10.2f | %7.2fx | %10zu%s\n", threads, ms,
                 base_ms / std::max(ms, 1e-6), answer->confidences.size(),
-                comparable && answer->confidences.size() != reference_tuples
-                    ? "  !! MISMATCH"
-                    : "");
+                answer->confidences.entries() == reference
+                    ? ""
+                    : "  !! MISMATCH");
   }
 }
 
 void BM_ParallelSignatureCount(benchmark::State& state) {
   const SourceCollection collection = CountingCollection();
   auto instance = IdentityInstance::Create(collection, IntDomain(1024));
-  const size_t threads = static_cast<size_t>(state.range(0));
-  exec::ThreadPool pool(threads);
+  exec::ThreadPool* const pool =
+      exec::SharedPool(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     BinomialTable binomials;
     SignatureCounter counter(&*instance, &binomials);
-    auto outcome =
-        counter.Count(uint64_t{1} << 26, threads > 1 ? &pool : nullptr);
+    auto outcome = counter.Count(uint64_t{1} << 26, pool);
     benchmark::DoNotOptimize(outcome);
   }
 }

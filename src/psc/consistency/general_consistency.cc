@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "psc/consistency/identity_consistency.h"
 #include "psc/consistency/possible_worlds.h"
+#include "psc/exec/parallel.h"
 #include "psc/exec/thread_pool.h"
 #include "psc/obs/metrics.h"
-#include "psc/obs/scope.h"
 #include "psc/obs/trace.h"
 #include "psc/source/measures.h"
-#include "psc/sync/mutex.h"
 #include "psc/tableau/template_builder.h"
 #include "psc/util/string_util.h"
 
@@ -51,224 +49,132 @@ namespace {
 
 /// Canonical-freeze pass: try every allowable combination's frozen tableau
 /// as a concrete witness. Sound for acceptance only.
+///
+/// Combinations are enumerated in windows; one ParallelFor evaluates a
+/// window, each combination into its own slot, and the search stops at
+/// the window's minimal-index decided slot (a witness or an error) — the
+/// very combination a one-by-one scan stops at, so the outcome is the
+/// same for every worker count. `bound`, the best decided index so far,
+/// lets later slots skip work that can no longer win. With a null pool a
+/// window holds one combination, so the enumerator stays lazy and exactly
+/// the combinations up to the decided one are tried and charged.
 Result<std::optional<Database>> TryCanonicalFreeze(
-    const SourceCollection& collection,
-    const GeneralConsistencyChecker::Options& options,
-    ConsistencyReport* report, bool* hit_limits) {
-  TemplateBuilder builder(&collection);
-  std::optional<Database> witness;
-  Status deferred_error;
-  PSC_ASSIGN_OR_RETURN(
-      const bool completed,
-      builder.ForEachAllowableCombination([&](const Combination& combination) {
-        if (report->combinations_tried >= options.max_combinations) {
-          *hit_limits = true;
-          return false;
-        }
-        // One budget node per combination; on a trip the caller reads the
-        // reason off the shared budget and degrades to kUnknown.
-        if (!options.budget.Charge()) {
-          *hit_limits = true;
-          return false;
-        }
-        ++report->combinations_tried;
-        PSC_OBS_COUNTER_INC("consistency.combinations_tried");
-        auto built = builder.BuildTableau(combination);
-        if (!built.ok()) {
-          if (built.status().code() == StatusCode::kUnimplemented) {
-            // A built-in constrains an existential variable; this
-            // combination cannot be frozen faithfully.
-            *hit_limits = true;
-            return true;
-          }
-          deferred_error = built.status();
-          return false;
-        }
-        if (!built->has_value()) return true;  // rep(𝒯^U) = ∅
-
-        // Two candidates: merged freezing reuses constants already forced
-        // by other sources (needed under exact catalogs), fresh freezing
-        // keeps existential witnesses distinct. Acceptance is verified, so
-        // trying both is sound.
-        Database candidates[2] = {FreezeTableauWithGroundMerge(**built),
-                                  FreezeTableau(**built)};
-        const size_t tries = candidates[0] == candidates[1] ? 1 : 2;
-        for (size_t t = 0; t < tries; ++t) {
-          ++report->candidates_checked;
-          PSC_OBS_COUNTER_INC("consistency.candidates_checked");
-          auto possible = collection.IsPossibleWorld(candidates[t]);
-          if (!possible.ok()) {
-            deferred_error = possible.status();
-            return false;
-          }
-          if (*possible) {
-            witness = std::move(candidates[t]);
-            return false;
-          }
-        }
-        return true;
-      }));
-  if (!completed && !deferred_error.ok()) return deferred_error;
-  return witness;
-}
-
-/// Parallel canonical-freeze pass. Combinations are streamed from the
-/// enumerator in blocks onto the pool; each worker evaluates its block's
-/// combinations exactly as the sequential pass would (build, freeze both
-/// candidates in order, verify). The winning outcome is the one with the
-/// *minimal* global combination index — the very combination the
-/// sequential scan would have stopped at — so the returned witness (or
-/// error) is bit-identical for every worker count. An atomic `bound` set
-/// to the current best index lets workers and the producer skip indices
-/// that can no longer win, which is what cancels the search early once a
-/// witness is found.
-Result<std::optional<Database>> TryCanonicalFreezeParallel(
     const SourceCollection& collection,
     const GeneralConsistencyChecker::Options& options, exec::ThreadPool* pool,
     ConsistencyReport* report, bool* hit_limits) {
   TemplateBuilder builder(&collection);
-  constexpr size_t kBlockSize = 16;
-  constexpr uint64_t kNoIndex = ~uint64_t{0};
-  const size_t max_outstanding = 4 * pool->size();
-
-  struct SearchState {
-    sync::Mutex mu{"consistency.search", sync::kRankSearchOutcome};
-    /// Index of the best (minimal) decided combination; its outcome.
-    uint64_t best_index PSC_GUARDED_BY(mu);
-    Status error PSC_GUARDED_BY(mu);
-    std::optional<Database> witness PSC_GUARDED_BY(mu);
-    /// Combinations with index >= bound cannot win; they may be skipped.
-    std::atomic<uint64_t> bound;
-    std::atomic<uint64_t> combinations_tried{0};
-    std::atomic<uint64_t> candidates_checked{0};
-    std::atomic<bool> hit_limits{false};
-    /// Outstanding-block throttle and completion latch.
-    sync::Mutex blocks_mu{"consistency.blocks", sync::kRankSearchBlocks};
-    sync::CondVar blocks_cv;
-    size_t outstanding_blocks PSC_GUARDED_BY(blocks_mu) = 0;
+  struct Slot {
+    Combination combination;
+    bool tried = false;
+    bool hit_limits = false;
+    uint64_t candidates_checked = 0;
+    Status error;
+    std::optional<Database> witness;
   };
-  SearchState state;
-  state.best_index = kNoIndex;
-  state.bound.store(kNoIndex, std::memory_order_relaxed);
+  constexpr size_t kShard = 16;
+  const size_t window_size = pool == nullptr ? 1 : 4 * kShard * pool->size();
+  std::vector<Slot> window;
+  window.reserve(window_size);
+  constexpr size_t kNoIndex = ~size_t{0};
+  std::atomic<size_t> bound{kNoIndex};
 
-  // Records a decided combination; the minimal index wins.
-  auto record = [&state](uint64_t index, Status error,
-                         std::optional<Database> witness) {
-    sync::MutexLock lock(&state.mu);
-    if (index >= state.best_index) return;
-    state.best_index = index;
-    state.error = std::move(error);
-    state.witness = std::move(witness);
-    state.bound.store(index, std::memory_order_release);
-  };
-
-  // Evaluates one combination, mirroring the sequential pass body.
-  auto evaluate = [&](uint64_t index, const Combination& combination) {
-    if (index >= state.bound.load(std::memory_order_acquire)) return;
-    // The producer charges the budget per enqueued combination; workers
-    // only observe the trip so already-queued blocks drain quickly.
-    if (options.budget.reason() != limits::StopReason::kNone) return;
-    state.combinations_tried.fetch_add(1, std::memory_order_relaxed);
-    PSC_OBS_COUNTER_INC("consistency.combinations_tried");
-    auto built = builder.BuildTableau(combination);
-    if (!built.ok()) {
-      if (built.status().code() == StatusCode::kUnimplemented) {
-        state.hit_limits.store(true, std::memory_order_relaxed);
-        return;
-      }
-      record(index, built.status(), std::nullopt);
+  // Evaluates window[i]: build, freeze both candidates in order, verify.
+  const auto evaluate = [&](size_t i) {
+    if (i >= bound.load(std::memory_order_acquire)) return;
+    Slot& slot = window[i];
+    // One budget node per evaluated combination; on a trip the caller
+    // reads the reason off the shared budget and degrades to kUnknown.
+    if (!options.budget.Charge()) {
+      slot.hit_limits = true;
       return;
     }
-    if (!built->has_value()) return;  // rep(𝒯^U) = ∅
-    Database candidates[2] = {FreezeTableauWithGroundMerge(**built),
-                              FreezeTableau(**built)};
-    const size_t tries = candidates[0] == candidates[1] ? 1 : 2;
-    for (size_t t = 0; t < tries; ++t) {
-      state.candidates_checked.fetch_add(1, std::memory_order_relaxed);
-      PSC_OBS_COUNTER_INC("consistency.candidates_checked");
-      auto possible = collection.IsPossibleWorld(candidates[t]);
-      if (!possible.ok()) {
-        record(index, possible.status(), std::nullopt);
+    slot.tried = true;
+    PSC_OBS_COUNTER_INC("consistency.combinations_tried");
+    auto built = builder.BuildTableau(slot.combination);
+    if (!built.ok()) {
+      if (built.status().code() == StatusCode::kUnimplemented) {
+        // A built-in constrains an existential variable; this
+        // combination cannot be frozen faithfully.
+        slot.hit_limits = true;
         return;
       }
-      if (*possible) {
-        record(index, Status(), std::move(candidates[t]));
-        return;
+      slot.error = built.status();
+    } else if (built->has_value()) {  // else rep(𝒯^U) = ∅
+      // Two candidates: merged freezing reuses constants already forced
+      // by other sources (needed under exact catalogs), fresh freezing
+      // keeps existential witnesses distinct. Acceptance is verified, so
+      // trying both is sound.
+      Database candidates[2] = {FreezeTableauWithGroundMerge(**built),
+                                FreezeTableau(**built)};
+      const size_t tries = candidates[0] == candidates[1] ? 1 : 2;
+      for (size_t t = 0; t < tries; ++t) {
+        ++slot.candidates_checked;
+        PSC_OBS_COUNTER_INC("consistency.candidates_checked");
+        auto possible = collection.IsPossibleWorld(candidates[t]);
+        if (!possible.ok()) {
+          slot.error = possible.status();
+          break;
+        }
+        if (*possible) {
+          slot.witness = std::move(candidates[t]);
+          break;
+        }
       }
+    }
+    if (slot.error.ok() && !slot.witness.has_value()) return;
+    size_t best = bound.load(std::memory_order_acquire);
+    while (i < best && !bound.compare_exchange_weak(
+                           best, i, std::memory_order_acq_rel)) {
     }
   };
 
-  using Block = std::vector<std::pair<uint64_t, Combination>>;
-  Block block;
-  block.reserve(kBlockSize);
-  // Captured once: every shipped block reinstalls the producer's scope
-  // and parents its spans under the enclosing consistency.check span.
-  const obs::TraceContext trace_context = obs::CaptureTraceContext();
-  auto flush = [&] {
-    if (block.empty()) return;
-    {
-      sync::MutexLock lock(&state.blocks_mu);
-      while (state.outstanding_blocks >= max_outstanding) {
-        state.blocks_cv.Wait(state.blocks_mu);
-      }
-      ++state.outstanding_blocks;
+  // Evaluates the window and folds its slots into the report; returns
+  // false once the search is decided or the budget tripped.
+  Status error;
+  std::optional<Database> witness;
+  const auto flush = [&] {
+    exec::ParallelFor(pool, (window.size() + kShard - 1) / kShard,
+                      [&](size_t shard) {
+                        const size_t end =
+                            std::min(window.size(), (shard + 1) * kShard);
+                        for (size_t i = shard * kShard; i < end; ++i) {
+                          evaluate(i);
+                        }
+                      });
+    for (const Slot& slot : window) {
+      report->combinations_tried += slot.tried ? 1 : 0;
+      report->candidates_checked += slot.candidates_checked;
+      if (slot.hit_limits) *hit_limits = true;
     }
-    auto shipped = std::make_shared<Block>(std::move(block));
-    block.clear();
-    block.reserve(kBlockSize);
-    pool->Submit([&state, &evaluate, &trace_context, shipped] {
-      const obs::TraceContextGuard trace_guard(trace_context);
-      {
-        PSC_OBS_SPAN("consistency.freeze_block");
-        for (const auto& [index, combination] : *shipped) {
-          evaluate(index, combination);
-        }
-      }
-      {
-        sync::MutexLock lock(&state.blocks_mu);
-        --state.outstanding_blocks;
-        // Notify while holding the lock: once the producer observes the
-        // decrement it may destroy `state`, so the cv must not be
-        // touched after the unlock.
-        state.blocks_cv.NotifyAll();
-      }
-    });
+    const size_t best = bound.load(std::memory_order_acquire);
+    if (best != kNoIndex) {
+      error = std::move(window[best].error);
+      witness = std::move(window[best].witness);
+      return false;
+    }
+    window.clear();
+    return options.budget.reason() == limits::StopReason::kNone;
   };
 
-  uint64_t next_index = 0;
-  auto enumerated =
-      builder.ForEachAllowableCombination([&](const Combination& combination) {
-        if (next_index >= state.bound.load(std::memory_order_acquire)) {
-          return false;  // a lower index already decided the search
-        }
-        if (next_index >= options.max_combinations) {
-          state.hit_limits.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        if (!options.budget.Charge()) {
-          state.hit_limits.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        block.emplace_back(next_index++, combination);  // copy: reused ref
-        if (block.size() >= kBlockSize) flush();
-        return true;
-      });
-  flush();
-  {
-    // All blocks reference this frame; drain them before returning.
-    sync::MutexLock lock(&state.blocks_mu);
-    while (state.outstanding_blocks != 0) state.blocks_cv.Wait(state.blocks_mu);
-  }
-  PSC_RETURN_NOT_OK(enumerated.status());
-
-  report->combinations_tried =
-      state.combinations_tried.load(std::memory_order_relaxed);
-  report->candidates_checked =
-      state.candidates_checked.load(std::memory_order_relaxed);
-  if (state.hit_limits.load(std::memory_order_relaxed)) *hit_limits = true;
-  sync::MutexLock lock(&state.mu);
-  PSC_RETURN_NOT_OK(state.error);
-  return std::move(state.witness);
+  bool searching = true;
+  uint64_t enumerated = 0;
+  PSC_RETURN_NOT_OK(
+      builder
+          .ForEachAllowableCombination([&](const Combination& combination) {
+            if (enumerated >= options.max_combinations) {
+              *hit_limits = true;
+              return false;
+            }
+            ++enumerated;
+            window.emplace_back().combination = combination;  // reused ref
+            if (window.size() < window_size) return true;
+            searching = flush();
+            return searching;
+          })
+          .status());
+  if (searching && !window.empty()) flush();
+  PSC_RETURN_NOT_OK(error);
+  return witness;
 }
 
 }  // namespace
@@ -310,24 +216,16 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
     return report;
   }
 
-  // Strategy 2: canonical freezing of Theorem 4.1 templates. With more
-  // than one resolved worker the combination search runs on a
-  // work-stealing pool; the outcome is deterministic (minimal-index
-  // witness), so every thread count returns the same report.
+  // Strategy 2: canonical freezing of Theorem 4.1 templates, on the
+  // shared pool of `threads` workers. The outcome is deterministic
+  // (minimal-index witness), so every thread count returns the same
+  // verdict, witness and method.
   bool hit_limits = false;
-  std::optional<Database> witness;
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    PSC_ASSIGN_OR_RETURN(witness,
-                         TryCanonicalFreezeParallel(collection, options_,
-                                                    &pool, &report,
-                                                    &hit_limits));
-  } else {
-    PSC_ASSIGN_OR_RETURN(
-        witness, TryCanonicalFreeze(collection, options_, &report,
-                                    &hit_limits));
-  }
+  PSC_ASSIGN_OR_RETURN(
+      std::optional<Database> witness,
+      TryCanonicalFreeze(collection, options_,
+                         exec::SharedPool(options_.threads), &report,
+                         &hit_limits));
   if (witness.has_value()) {
     report.verdict = ConsistencyVerdict::kConsistent;
     report.witness = std::move(witness);

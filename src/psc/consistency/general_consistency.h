@@ -82,13 +82,13 @@ class GeneralConsistencyChecker {
     /// Extra fresh constants added to the canonical domain, capped.
     size_t max_fresh_constants = 4;
     bool enable_exhaustive = true;
-    /// Worker threads for the canonical-freeze search. 0 (the default)
-    /// resolves via PSC_THREADS / hardware_concurrency(); 1 forces the
-    /// sequential path (byte-identical to the historical single-threaded
-    /// behaviour). The verdict and witness are deterministic for every
-    /// thread count: the parallel search returns the outcome of the
-    /// minimal combination index, which is exactly the combination the
-    /// sequential scan stops at.
+    /// Worker threads for the canonical-freeze search, borrowed from the
+    /// process-wide pool (exec::SharedPool). 0 (the default) resolves via
+    /// PSC_THREADS / hardware_concurrency(); 1 runs the same search
+    /// inline, one combination at a time. The verdict, method and witness
+    /// are deterministic for every thread count: the search returns the
+    /// outcome of the minimal decided combination index, which is exactly
+    /// the combination a one-by-one scan stops at.
     size_t threads = 0;
     /// Cooperative deadline / node budget shared by every strategy: one
     /// node per allowable combination, count-vector node or brute-force

@@ -179,15 +179,9 @@ Result<ConfidenceTable> QuerySystem::BaseConfidences(
   PSC_OBS_SPAN("query.base_confidences");
   PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
                        IdentityInstance::Create(collection_, domain));
-  const limits::Budget budget = MakeBudget(options_);
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    return ComputeBaseFactConfidences(instance, options_.max_shapes, &pool,
-                                      budget);
-  }
-  return ComputeBaseFactConfidences(instance, options_.max_shapes, nullptr,
-                                    budget);
+  return ComputeBaseFactConfidences(instance, options_.max_shapes,
+                                    exec::SharedPool(options_.threads),
+                                    MakeBudget(options_));
 }
 
 Result<QueryAnswer> QuerySystem::AnswerExact(
@@ -245,19 +239,11 @@ Result<QueryAnswer> QuerySystem::AnswerCompositional(
   }
   PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
                        IdentityInstance::Create(collection_, domain));
-  ConfidenceTable table;
-  const limits::Budget budget = MakeBudget(options_);
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    PSC_ASSIGN_OR_RETURN(table,
-                         ComputeBaseFactConfidences(
-                             instance, options_.max_shapes, &pool, budget));
-  } else {
-    PSC_ASSIGN_OR_RETURN(
-        table, ComputeBaseFactConfidences(instance, options_.max_shapes,
-                                          nullptr, budget));
-  }
+  PSC_ASSIGN_OR_RETURN(
+      const ConfidenceTable table,
+      ComputeBaseFactConfidences(instance, options_.max_shapes,
+                                 exec::SharedPool(options_.threads),
+                                 MakeBudget(options_)));
   ProbRelation base_relation(instance.arity());
   for (const TupleConfidence& entry : table.entries) {
     PSC_RETURN_NOT_OK(base_relation.Insert(entry.tuple, entry.confidence));
@@ -295,49 +281,22 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
                        WorldSampler::Create(&instance, options_.max_worlds));
 
   const limits::Budget budget = MakeBudget(options_);
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads <= 1) {
-    // Historical single-stream path: one Rng(seed) consumed in sample
-    // order. Kept verbatim so --threads 1 replays previous releases
-    // byte for byte.
-    Rng rng(seed);
-    AnswerAccumulator accumulator(&plans, query->OutputArity());
-    for (uint64_t i = 0; i < samples; ++i) {
-      // A tripped budget truncates: the samples drawn so far are a valid
-      // (smaller) estimate. With zero samples there is nothing to report.
-      if (!budget.Charge()) {
-        if (accumulator.worlds() == 0) return budget.ToStatus();
-        PSC_ASSIGN_OR_RETURN(QueryAnswer answer,
-                             accumulator.Finish("monte-carlo"));
-        answer.truncated = true;
-        answer.truncation_reason = budget.ToStatus().message();
-        PSC_OBS_COUNTER_ADD("query.worlds_used", answer.worlds_used);
-        return answer;
-      }
-      PSC_RETURN_NOT_OK(accumulator.AddWorld(sampler.Sample(&rng)));
-    }
-    PSC_ASSIGN_OR_RETURN(QueryAnswer answer,
-                         accumulator.Finish("monte-carlo"));
-    PSC_OBS_COUNTER_ADD("query.worlds_used", answer.worlds_used);
-    return answer;
-  }
-
   // Counter-based streams: block b always draws its (at most)
   // kBlockSamples worlds from Rng(MixSeed(seed, b)), no matter which
-  // worker runs it — the sampled multiset, and hence the estimate, is a
-  // pure function of (seed, samples), identical for every thread count
-  // >= 2. The block size is fixed (not derived from the worker count) for
-  // the same reason.
+  // worker runs it or whether the blocks run inline — the sampled
+  // multiset, and hence the estimate, is a pure function of (seed,
+  // samples), identical for every thread count. The block size is fixed
+  // (not derived from the worker count) for the same reason.
   constexpr uint64_t kBlockSamples = 64;
   const uint64_t num_blocks = (samples + kBlockSamples - 1) / kBlockSamples;
   struct BlockResult {
     AnswerAccumulator acc;
     Status error;
   };
-  exec::ThreadPool pool(threads);
   const limits::CancelToken cancel_token = budget.token();
   BlockResult merged = exec::ParallelReduce<BlockResult>(
-      &pool, static_cast<size_t>(num_blocks), BlockResult{},
+      exec::SharedPool(options_.threads), static_cast<size_t>(num_blocks),
+      BlockResult{},
       [&](size_t block) {
         BlockResult result;
         result.acc = AnswerAccumulator(&plans, query->OutputArity());

@@ -61,11 +61,11 @@ class QuerySystem {
     size_t max_universe_bits = 22;
     /// Worker threads for consistency search, exact counting and
     /// Monte-Carlo sampling. 0 (the default) resolves via the PSC_THREADS
-    /// environment variable, falling back to hardware_concurrency(); 1
-    /// forces the sequential code paths byte-identical to the historical
-    /// behaviour. Verdicts, exact counts and confidences are bit-identical
-    /// for every thread count; Monte-Carlo estimates are identical across
-    /// all multi-threaded counts (see AnswerMonteCarlo).
+    /// environment variable, falling back to hardware_concurrency(). Calls
+    /// borrow the process-wide pool of that width (exec::SharedPool) and
+    /// never build one; 1 runs the same shard bodies inline. Verdicts,
+    /// exact counts, confidences and Monte-Carlo estimates are
+    /// bit-identical for every thread count.
     size_t threads = 0;
     /// Wall-clock deadline in milliseconds for each entry point (0 = no
     /// deadline; CLI: `--deadline-ms`). Every call builds a fresh budget,
@@ -138,7 +138,10 @@ class QuerySystem {
   /// poss(S); confidences are sample frequencies. The certain/possible
   /// sets are *estimates* (tuples seen in every / any sampled world).
   /// Lowers and validates the plan like AnswerExact; the parallel
-  /// workers share the one set of compiled plans.
+  /// workers share the one set of compiled plans. Samples are drawn in
+  /// fixed blocks of 64, block b from Rng(MixSeed(seed, b)), so the
+  /// estimate is a pure function of (seed, samples) at every thread
+  /// count.
   Result<QueryAnswer> AnswerMonteCarlo(const AlgebraExprPtr& query,
                                        const std::vector<Value>& domain,
                                        uint64_t samples, uint64_t seed) const;

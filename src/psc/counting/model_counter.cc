@@ -189,96 +189,77 @@ Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
   PSC_OBS_SPAN("counting.count");
   CountingOutcome outcome;
   const auto& groups = instance_->groups();
-  // Σ over feasible shapes of weight·k_g, later divided by n_g.
-  std::vector<BigInt> marked_sums(groups.size());
-
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && !groups.empty();
-  if (!parallel) {
-    ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
-                               max_shapes, nullptr, budget);
-    PSC_RETURN_NOT_OK(
-        enumerator
-            .Run([&](const std::vector<int64_t>& counts,
-                     const BigInt& weight) {
-              ++outcome.feasible_shapes;
-              outcome.world_count += weight;
+  // One shard per value of counts[0] (a single unpinned shard when there
+  // are no groups); per-shard partials merge in shard order, so the BigInt
+  // totals are bit-identical for every worker count, inline included.
+  // Every binomial row a shard can touch is materialized up front: the
+  // shards then only read the shared table, instead of each rebuilding
+  // the (potentially huge) first-group row from scratch.
+  for (const auto& group : groups) binomials_->Warm(group.size);
+  const size_t shards =
+      groups.empty() ? 1 : static_cast<size_t>(groups[0].size) + 1;
+  std::atomic<uint64_t> shared_visited{0};
+  // A tripped budget cancels shards still queued on the pool; shards
+  // skipped this way merge as empty-and-error-free, which is safe
+  // because the shard that tripped the budget always carries the error.
+  const limits::CancelToken cancel_token = budget.token();
+  const limits::CancelToken* cancel =
+      budget.active() ? &cancel_token : nullptr;
+  CountShard merged;
+  merged.marked_sums.resize(groups.size());
+  merged = exec::ParallelReduce<CountShard>(
+      pool, shards, std::move(merged),
+      [&](size_t k) {
+        CountShard shard;
+        // The shape cap is already exceeded: an earlier shard carries
+        // the error, so skip the subtree.
+        if (shared_visited.load(std::memory_order_relaxed) > max_shapes) {
+          return shard;
+        }
+        shard.marked_sums.resize(groups.size());
+        ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
+                                   max_shapes, &shared_visited, budget);
+        auto run = enumerator.RunWithFirstGroup(
+            groups.empty() ? -1 : static_cast<int64_t>(k),
+            [&](const std::vector<int64_t>& counts, const BigInt& weight) {
+              ++shard.feasible_shapes;
+              shard.world_count += weight;
               for (size_t g = 0; g < groups.size(); ++g) {
                 if (counts[g] == 0) continue;
                 BigInt term = weight;
                 term.MulU32(static_cast<uint32_t>(counts[g]));
-                marked_sums[g] += term;
+                shard.marked_sums[g] += term;
               }
               return true;
-            })
-            .status());
-    outcome.visited_shapes = enumerator.visited();
-  } else {
-    // One shard per value of counts[0]; per-shard partials merge in shard
-    // order, so the BigInt totals equal the sequential fold bit for bit.
-    // Every binomial row a shard can touch is materialized up front: the
-    // shards then only read the shared table, instead of each rebuilding
-    // the (potentially huge) first-group row from scratch.
-    for (const auto& group : groups) binomials_->Warm(group.size);
-    const size_t shards = static_cast<size_t>(groups[0].size) + 1;
-    std::atomic<uint64_t> shared_visited{0};
-    // A tripped budget cancels shards still queued on the pool; shards
-    // skipped this way merge as empty-and-error-free, which is safe
-    // because the shard that tripped the budget always carries the error.
-    const limits::CancelToken cancel_token = budget.token();
-    const limits::CancelToken* cancel =
-        budget.active() ? &cancel_token : nullptr;
-    CountShard merged;
-    merged.marked_sums.resize(groups.size());
-    merged = exec::ParallelReduce<CountShard>(
-        pool, shards, std::move(merged),
-        [&](size_t k) {
-          CountShard shard;
-          shard.marked_sums.resize(groups.size());
-          ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
-                                     max_shapes, &shared_visited, budget);
-          auto run = enumerator.RunWithFirstGroup(
-              static_cast<int64_t>(k),
-              [&](const std::vector<int64_t>& counts, const BigInt& weight) {
-                ++shard.feasible_shapes;
-                shard.world_count += weight;
-                for (size_t g = 0; g < groups.size(); ++g) {
-                  if (counts[g] == 0) continue;
-                  BigInt term = weight;
-                  term.MulU32(static_cast<uint32_t>(counts[g]));
-                  shard.marked_sums[g] += term;
-                }
-                return true;
-              });
-          if (!run.ok()) shard.error = run.status();
-          shard.visited_shapes = enumerator.visited();
-          return shard;
-        },
-        [](CountShard& acc, CountShard part) {
-          if (!acc.error.ok()) return;
-          if (!part.error.ok()) {
-            acc.error = part.error;
-            return;
-          }
-          acc.world_count += part.world_count;
-          for (size_t g = 0; g < acc.marked_sums.size(); ++g) {
-            acc.marked_sums[g] += part.marked_sums[g];
-          }
-          acc.feasible_shapes += part.feasible_shapes;
-          acc.visited_shapes += part.visited_shapes;
-        },
-        cancel);
-    PSC_RETURN_NOT_OK(merged.error);
-    // All-shards-skipped corner (e.g. an external Cancel before any shard
-    // ran): no shard recorded an error, but the count is not complete.
-    if (budget.reason() != limits::StopReason::kNone) {
-      return budget.ToStatus();
-    }
-    outcome.world_count = std::move(merged.world_count);
-    marked_sums = std::move(merged.marked_sums);
-    outcome.feasible_shapes = merged.feasible_shapes;
-    outcome.visited_shapes = merged.visited_shapes;
+            });
+        if (!run.ok()) shard.error = run.status();
+        shard.visited_shapes = enumerator.visited();
+        return shard;
+      },
+      [](CountShard& acc, CountShard part) {
+        if (!acc.error.ok()) return;
+        if (!part.error.ok()) {
+          acc.error = part.error;
+          return;
+        }
+        acc.world_count += part.world_count;
+        for (size_t g = 0; g < part.marked_sums.size(); ++g) {
+          acc.marked_sums[g] += part.marked_sums[g];
+        }
+        acc.feasible_shapes += part.feasible_shapes;
+        acc.visited_shapes += part.visited_shapes;
+      },
+      cancel);
+  PSC_RETURN_NOT_OK(merged.error);
+  // All-shards-skipped corner (e.g. an external Cancel before any shard
+  // ran): no shard recorded an error, but the count is not complete.
+  if (budget.reason() != limits::StopReason::kNone) {
+    return budget.ToStatus();
   }
+  outcome.world_count = std::move(merged.world_count);
+  std::vector<BigInt> marked_sums = std::move(merged.marked_sums);
+  outcome.feasible_shapes = merged.feasible_shapes;
+  outcome.visited_shapes = merged.visited_shapes;
   PSC_OBS_COUNTER_ADD("counting.shapes_visited", outcome.visited_shapes);
   PSC_OBS_COUNTER_ADD("counting.feasible_shapes", outcome.feasible_shapes);
 

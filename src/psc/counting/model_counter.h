@@ -63,12 +63,12 @@ class SignatureCounter {
   /// ResourceExhausted) when the cooperative budget trips — the DFS
   /// charges one budget node per count-vector tree node, on every worker.
   ///
-  /// With a multi-worker `pool` the count-vector DFS is sharded on the
-  /// first group's count value; the shared `BinomialTable` is pre-warmed
-  /// so shards only read it, and per-shard BigInt accumulators are merged
-  /// in shard order, so the outcome is bit-identical to the sequential
-  /// run for any worker count. A tripped budget also cancels shards still
-  /// queued on the pool.
+  /// The count-vector DFS is sharded on the first group's count value and
+  /// the shards run on `pool` (inline when it is null); the shared
+  /// `BinomialTable` is pre-warmed so shards only read it, and per-shard
+  /// BigInt accumulators are merged in shard order, so the outcome is
+  /// bit-identical for any worker count. A tripped budget also cancels
+  /// shards still queued on the pool.
   Result<CountingOutcome> Count(uint64_t max_shapes = uint64_t{1} << 26,
                                 exec::ThreadPool* pool = nullptr,
                                 const limits::Budget& budget =

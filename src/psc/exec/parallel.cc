@@ -38,7 +38,7 @@ void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& body,
                  const limits::CancelToken* cancel) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || n == 1) {
+  if (RunsInline(pool, n)) {
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->cancelled()) {
         PSC_OBS_COUNTER_ADD("exec.shards_cancelled", n - i);

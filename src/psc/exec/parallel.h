@@ -13,9 +13,11 @@
 /// workers ran or how the OS scheduled them.
 ///
 /// Both degrade to a plain sequential loop when `pool` is null, the pool
-/// has one worker, or the index space is trivial — the sequential path
-/// executes the exact same shard bodies in the exact same order, which is
-/// what makes `--threads 1` byte-identical to the pre-parallel code.
+/// has one worker, the index space is trivial, or the caller is itself a
+/// worker of `pool` — the inline path executes the same shard bodies in
+/// index order, so `--threads 1` runs the one code path every thread
+/// count runs, and a nested fork-join on a shared pool cannot deadlock
+/// with every worker waiting on shards queued behind it.
 
 #include <cstddef>
 #include <functional>
@@ -28,11 +30,19 @@
 namespace psc {
 namespace exec {
 
+/// True when a fork-join of `n` shards on `pool` runs inline on the
+/// calling thread (see the file comment).
+inline bool RunsInline(const ThreadPool* pool, size_t n) {
+  return pool == nullptr || pool->size() <= 1 || n <= 1 ||
+         pool->OnWorkerThread();
+}
+
 /// \brief Runs `body(i)` for every i in [0, n), potentially in parallel.
 ///
 /// Blocks until all invocations returned. `body` must be safe to call
 /// concurrently from different workers for different indices. With a null
-/// or single-worker pool the loop runs inline, in index order.
+/// or single-worker pool, or from one of the pool's own workers, the loop
+/// runs inline, in index order.
 ///
 /// When `cancel` is non-null, workers observe the token **between
 /// shards**: an index whose turn comes after the token was cancelled is
@@ -62,7 +72,7 @@ template <typename T, typename ShardFn, typename MergeFn>
 T ParallelReduce(ThreadPool* pool, size_t n, T init, const ShardFn& shard,
                  const MergeFn& merge,
                  const limits::CancelToken* cancel = nullptr) {
-  if (pool == nullptr || pool->size() <= 1 || n <= 1) {
+  if (RunsInline(pool, n)) {
     T acc = std::move(init);
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->cancelled()) break;

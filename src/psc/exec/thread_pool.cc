@@ -1,6 +1,7 @@
 #include "psc/exec/thread_pool.h"
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "psc/obs/log.h"
@@ -52,6 +53,20 @@ size_t ResolveThreadCount(size_t requested) {
   return HardwareThreads();
 }
 
+ThreadPool* SharedPool(size_t threads) {
+  const size_t width = ResolveThreadCount(threads);
+  if (width <= 1) return nullptr;
+  // Leaked on purpose (see the header): the registry and its pools
+  // outlive every static destructor that could still submit work.
+  static sync::Mutex* const mutex =
+      new sync::Mutex("exec.shared_pools", sync::kRankExecSharedPools);
+  static auto* const pools = new std::map<size_t, ThreadPool*>();
+  sync::MutexLock lock(mutex);
+  ThreadPool*& pool = (*pools)[width];
+  if (pool == nullptr) pool = new ThreadPool(width);
+  return pool;
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = num_threads == 0 ? 1 : num_threads;
   queues_.reserve(n);
@@ -74,6 +89,8 @@ ThreadPool::~ThreadPool() {
   wake_cv_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
 }
+
+bool ThreadPool::OnWorkerThread() const { return tls_worker_pool == this; }
 
 void ThreadPool::Submit(std::function<void()> task) {
   size_t target;

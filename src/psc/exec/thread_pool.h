@@ -22,6 +22,11 @@
 /// `ParallelFor` / `ParallelReduce` facade (parallel.h) layers a
 /// deterministic shard-order merge on top so solver results are
 /// reproducible regardless of thread count.
+///
+/// One executor per process: solvers and the serving engine never build
+/// pools of their own. They borrow `SharedPool(threads)`, a pool per
+/// resolved width that lives until the process exits, so no request
+/// spawns or joins a thread.
 
 #include <atomic>
 #include <cstdint>
@@ -46,6 +51,18 @@ size_t HardwareThreads();
 /// positive `requested` is returned unchanged.
 size_t ResolveThreadCount(size_t requested);
 
+class ThreadPool;
+
+/// \brief The process-lifetime pool of `ResolveThreadCount(threads)`
+/// workers; nullptr when that resolves to 1, which every solver treats as
+/// "run the shard bodies inline".
+///
+/// The pool is built the first time its width is asked for and is never
+/// destroyed, so static destruction order at exit cannot reach a worker.
+/// Widths are kept apart so `threads` keeps its exact meaning; a process
+/// normally asks for one. Thread-safe.
+ThreadPool* SharedPool(size_t threads);
+
 /// \brief Fixed-size work-stealing thread pool.
 ///
 /// Tasks are arbitrary `std::function<void()>`; error propagation happens
@@ -67,6 +84,11 @@ class ThreadPool {
   ~ThreadPool();
 
   size_t size() const { return queues_.size(); }
+
+  /// True when the calling thread is one of this pool's workers. A
+  /// fork-join from a worker onto its own pool runs inline (parallel.h):
+  /// blocking the worker on shards queued behind it could deadlock.
+  bool OnWorkerThread() const;
 
   /// Enqueues `task` for execution. Thread-safe.
   void Submit(std::function<void()> task);

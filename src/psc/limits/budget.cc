@@ -209,6 +209,13 @@ CancelToken Budget::token() const {
 
 StopReason Budget::reason() const {
   if (state_ == nullptr) return StopReason::kNone;
+  // A cancelled token trips the budget at its next check, this one
+  // included: exec's ParallelFor skips queued shards on the token without
+  // charging, so a solver whose every shard was skipped learns why here.
+  if (state_->CurrentReason() == StopReason::kNone &&
+      state_->token.cancelled()) {
+    state_->Trip(StopReason::kCancelled);
+  }
   return state_->CurrentReason();
 }
 

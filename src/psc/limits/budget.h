@@ -135,7 +135,8 @@ class Budget {
   /// propagates to other copies of that same token.
   CancelToken token() const;
 
-  /// Why the budget tripped (kNone while within limits).
+  /// Why the budget tripped (kNone while within limits). A cancelled
+  /// token trips the budget here too, as kCancelled.
   StopReason reason() const;
 
   /// Units charged so far.

@@ -130,11 +130,6 @@ std::string FormatAnswerResponse(const Request& request,
 }  // namespace
 
 Engine::Engine(const EngineOptions& options) : options_(Normalize(options)) {
-  const size_t batch_threads =
-      std::min(options_.max_batch, exec::ResolveThreadCount(0));
-  if (batch_threads > 1) {
-    batch_pool_ = std::make_unique<exec::ThreadPool>(batch_threads);
-  }
   for (size_t i = 0; i < options_.dispatch_threads; ++i) {
     dispatchers_.emplace_back([this] { DispatchLoop(); });
   }
@@ -571,11 +566,10 @@ void Engine::ExecuteAnswerBatch(std::vector<Pending>& batch) {
         rep.request.domain_given ? rep.request.domain : default_domain;
     uniques[u].answer = resident->AnswerExact(*query, domain);
   };
-  if (uniques.size() > 1 && batch_pool_ != nullptr) {
-    exec::ParallelFor(batch_pool_.get(), uniques.size(), run);
-  } else {
-    for (size_t u = 0; u < uniques.size(); ++u) run(u);
-  }
+  exec::ParallelFor(
+      exec::SharedPool(
+          std::min(options_.max_batch, exec::ResolveThreadCount(0))),
+      uniques.size(), run);
 
   for (const Unique& unique : uniques) {
     for (const size_t member : unique.members) {

@@ -27,8 +27,10 @@
 ///   batch execution: ONE consistency check for the whole batch,
 ///      duplicate (query, domain) pairs answered once
 ///      (serve.batch.dedup_hits), distinct queries fanned out on a single
-///      `exec::ParallelFor` pass; every request's response carries its
-///      own id and is delivered through its own callback.
+///      `exec::ParallelFor` pass over the process-wide pool of
+///      min(max_batch, auto threads) workers (`exec::SharedPool`); every
+///      request's response carries its own id and is delivered through
+///      its own callback.
 ///
 /// Per-request limits ride `limits::ScopedCallLimits`: the engine merges
 /// the request's deadline_ms/node_budget with the server ceilings (the
@@ -45,7 +47,10 @@
 /// Threading: `dispatch_threads > 0` runs that many dispatcher threads;
 /// `dispatch_threads == 0` runs none and the owner pumps explicitly with
 /// `PumpOne()` — deterministic single-threaded mode for tests and for the
-/// in-process benchmark's cold baseline.
+/// in-process benchmark's cold baseline. The engine owns no pool: batches
+/// and the solvers under them borrow `exec::SharedPool`, so constructing
+/// an engine or serving a request starts no worker thread (a solver call
+/// made from a batch worker of the same pool runs its shards inline).
 
 #include <cstdint>
 #include <deque>
@@ -198,9 +203,6 @@ class Engine {
   bool shutdown_ PSC_GUARDED_BY(mutex_) = false;
   std::function<void()> shutdown_notify_ PSC_GUARDED_BY(mutex_);
 
-  /// Pool for fanning one answer batch's distinct queries out in a single
-  /// exec pass (solvers keep their own per-call pools).
-  std::unique_ptr<exec::ThreadPool> batch_pool_;
   std::vector<std::thread> dispatchers_;
 };
 

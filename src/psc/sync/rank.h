@@ -36,15 +36,12 @@ inline constexpr int kRankServeWrite = 35;        // serve.socket.write
 inline constexpr int kRankDeltaData = 40;   // delta.data (SharedMutex)
 inline constexpr int kRankDeltaCache = 50;  // delta.cache
 
-// consistency:: — per-search coordination inside the parallel
-// canonical-freeze solver.
-inline constexpr int kRankSearchOutcome = 60;  // consistency.search
-inline constexpr int kRankSearchBlocks = 65;   // consistency.blocks
-
 // eval/exec:: — solver-internal caches and the thread-pool runtime. Query
 // evaluation may populate the index cache or the containment memo while a
 // delta lock is held; pool queue locks nest inside everything that
-// submits work.
+// submits work. A solver call borrows its shared pool (registry lock)
+// under the delta locks, and building a pool emits metrics.
+inline constexpr int kRankExecSharedPools = 60;  // exec.shared_pools
 inline constexpr int kRankEvalIndexCache = 70;  // eval.index_cache
 inline constexpr int kRankMemoShard = 75;       // exec.memo_shard
 inline constexpr int kRankExecQueue = 80;       // exec.pool.queue

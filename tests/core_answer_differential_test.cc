@@ -238,24 +238,18 @@ ReferenceAccumulator ReferenceExact(const SourceCollection& collection,
   return reference;
 }
 
-/// The reference over the worlds AnswerMonteCarlo samples: one Rng(seed)
-/// stream at 1 thread; at more threads, blocks of 64 samples, block b
-/// drawn from Rng(MixSeed(seed, b)) (see query_system.cc).
+/// The reference over the worlds AnswerMonteCarlo samples at every
+/// thread count: blocks of 64 samples, block b drawn from
+/// Rng(MixSeed(seed, b)) (see query_system.cc).
 ReferenceAccumulator ReferenceMonteCarlo(const SourceCollection& collection,
                                          const AlgebraExprPtr& plan,
-                                         uint64_t samples, uint64_t seed,
-                                         size_t threads) {
+                                         uint64_t samples, uint64_t seed) {
   constexpr uint64_t kBlockSamples = 64;
   ReferenceAccumulator reference(plan);
   auto instance = IdentityInstance::Create(collection, IdentityDomain());
   EXPECT_TRUE(instance.ok()) << instance.status().ToString();
   auto sampler = WorldSampler::Create(&*instance);
   EXPECT_TRUE(sampler.ok()) << sampler.status().ToString();
-  if (threads <= 1) {
-    Rng rng(seed);
-    for (uint64_t i = 0; i < samples; ++i) reference.Add(sampler->Sample(&rng));
-    return reference;
-  }
   for (uint64_t block = 0; block * kBlockSamples < samples; ++block) {
     Rng rng(MixSeed(seed, block));
     const uint64_t end = std::min(samples, (block + 1) * kBlockSamples);
@@ -297,7 +291,7 @@ void CheckPlan(const SourceCollection& collection, const AlgebraExprPtr& plan,
       ADD_FAILURE() << context << ": " << sampled.status().ToString();
       continue;
     }
-    ReferenceMonteCarlo(collection, plan, kSamples, seed, threads)
+    ReferenceMonteCarlo(collection, plan, kSamples, seed)
         .ExpectMatches(*sampled, "monte-carlo " + context);
   }
 }

@@ -1,8 +1,12 @@
 // Resource-budget behaviour of the facade: every cap must surface as a
 // typed error, never as silent truncation or a wrong answer.
 
+#include <string>
+
 #include "gtest/gtest.h"
 #include "psc/core/query_system.h"
+#include "psc/obs/metrics.h"
+#include "psc/serve/engine.h"
 #include "test_util.h"
 
 namespace psc {
@@ -87,6 +91,80 @@ TEST(QuerySystemOptionsTest, MonteCarloSamplerRespectsShapeBudget) {
                 .code(),
             StatusCode::kResourceExhausted);
 }
+
+#if PSC_OBS_ENABLED
+
+/// Answers two distinct queries in one batch, so the engine fans the
+/// batch out on its pool.
+void AnswerOneBatch(serve::Engine& engine) {
+  const std::string loaded = engine.Call(
+      0,
+      "{\"verb\":\"load\",\"text\":\"source S { view: V(x) <- R(x) "
+      "completeness: 0.5 soundness: 0.5 facts: V(1), V(2) }\"}");
+  ASSERT_NE(loaded.find("\"ok\":true"), std::string::npos) << loaded;
+  int answered = 0;
+  const auto count = [&answered](const std::string& response) {
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    ++answered;
+  };
+  engine.Submit(1, "{\"verb\":\"answer\",\"query\":\"A(x) <- R(x)\"}",
+                count);
+  engine.Submit(2, "{\"verb\":\"answer\",\"query\":\"B(x) <- R(x)\"}",
+                count);
+  while (engine.PumpOne()) {
+  }
+  EXPECT_EQ(answered, 2);
+}
+
+TEST(QuerySystemOptionsTest, CallsBorrowTheSharedPoolInsteadOfBuildingOne) {
+  QuerySystem::Options options;
+  options.threads = 4;
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const QuerySystem identity,
+      QuerySystem::Create(
+          MakeUnaryCollection({MakeUnarySource("S", {0, 1, 2}, "1/2", "1/2")}),
+          options));
+  // A projection view: the consistency check runs the canonical-freeze
+  // search rather than the identity counter.
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const SourceDescriptor projected,
+      SourceDescriptor::Create("P", testing::Q("V(x) <- E(x, y)"),
+                               {testing::U(0), testing::U(1)},
+                               Rational::One(), Rational(1, 2)));
+  PSC_ASSERT_OK_AND_ASSIGN(const SourceCollection projection_collection,
+                           SourceCollection::Create({projected}));
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const QuerySystem projection,
+      QuerySystem::Create(projection_collection, options));
+  const AlgebraExprPtr plan = AlgebraExpr::Base("R", 1);
+  const auto run_every_entry_point = [&] {
+    auto report = projection.CheckConsistency();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->method, "canonical-freeze");
+    EXPECT_TRUE(identity.BaseConfidences(IntDomain(4)).ok());
+    EXPECT_TRUE(identity.AnswerCompositional(plan, IntDomain(4)).ok());
+    EXPECT_TRUE(identity.AnswerMonteCarlo(plan, IntDomain(4), 256, 1).ok());
+  };
+  serve::EngineOptions engine_options;
+  engine_options.dispatch_threads = 0;
+
+  // The first round may build the pools this process has not used yet.
+  run_every_entry_point();
+  {
+    serve::Engine engine(engine_options);
+    AnswerOneBatch(engine);
+  }
+  const obs::MetricsRegistry& metrics = obs::GlobalMetrics();
+  const uint64_t created = metrics.CounterValue("exec.pools_created");
+  for (int round = 0; round < 3; ++round) run_every_entry_point();
+  EXPECT_EQ(metrics.CounterValue("exec.pools_created"), created);
+  serve::Engine second(engine_options);
+  EXPECT_EQ(metrics.CounterValue("exec.pools_created"), created);
+  AnswerOneBatch(second);
+  EXPECT_EQ(metrics.CounterValue("exec.pools_created"), created);
+}
+
+#endif  // PSC_OBS_ENABLED
 
 }  // namespace
 }  // namespace psc

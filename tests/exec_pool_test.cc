@@ -92,6 +92,71 @@ TEST(ParallelReduceTest, MatchesSequentialSum) {
             expected);
 }
 
+TEST(ParallelForTest, NestedForkJoinOnOnePoolCompletes) {
+  // Both workers fork onto the pool they run on. Blocking them on the
+  // inner shards queued behind them would leave no worker to run those
+  // shards; the nested fork-join runs inline on the calling worker.
+  exec::ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  std::atomic<int> off_worker{0};
+  exec::ParallelFor(&pool, 2, [&](size_t) {
+    const std::thread::id worker = std::this_thread::get_id();
+    exec::ParallelFor(&pool, 8, [&](size_t) {
+      if (std::this_thread::get_id() != worker) off_worker.fetch_add(1);
+      inner.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner.load(), 16);
+  EXPECT_EQ(off_worker.load(), 0);
+}
+
+TEST(ParallelReduceTest, NestedReduceOnOnePoolMergesInOrder) {
+  exec::ThreadPool pool(2);
+  const auto digits = [&pool](size_t) {
+    return exec::ParallelReduce<std::string>(
+        &pool, 4, std::string(), [](size_t i) { return std::to_string(i); },
+        [](std::string& acc, std::string part) { acc += part; });
+  };
+  const std::string nested = exec::ParallelReduce<std::string>(
+      &pool, 3, std::string(), digits,
+      [](std::string& acc, std::string part) { acc += part; });
+  EXPECT_EQ(nested, "012301230123");
+}
+
+TEST(SharedPoolTest, OneResolvedThreadMeansNoPool) {
+  EXPECT_EQ(exec::SharedPool(1), nullptr);
+  setenv("PSC_THREADS", "1", /*overwrite=*/1);
+  EXPECT_EQ(exec::SharedPool(0), nullptr);
+  unsetenv("PSC_THREADS");
+}
+
+TEST(SharedPoolTest, OnePoolPerWidthForTheProcessLifetime) {
+  exec::ThreadPool* const two = exec::SharedPool(2);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(two->size(), 2u);
+  EXPECT_EQ(exec::SharedPool(2), two);
+  exec::ThreadPool* const three = exec::SharedPool(3);
+  ASSERT_NE(three, nullptr);
+  EXPECT_NE(three, two);
+  EXPECT_EQ(three->size(), 3u);
+  // Auto width resolves first, so it shares the explicit width's pool.
+  setenv("PSC_THREADS", "3", /*overwrite=*/1);
+  EXPECT_EQ(exec::SharedPool(0), three);
+  unsetenv("PSC_THREADS");
+}
+
+TEST(SharedPoolTest, ConcurrentFirstRequestsShareOnePool) {
+  std::vector<exec::ThreadPool*> seen(8, nullptr);
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    callers.emplace_back([&seen, i] { seen[i] = exec::SharedPool(5); });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (exec::ThreadPool* const pool : seen) EXPECT_EQ(pool, seen[0]);
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[0]->size(), 5u);
+}
+
 TEST(ResolveThreadCountTest, ExplicitRequestWinsOverEnvironment) {
   setenv("PSC_THREADS", "7", /*overwrite=*/1);
   EXPECT_EQ(exec::ResolveThreadCount(3), 3u);

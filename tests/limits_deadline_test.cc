@@ -192,5 +192,33 @@ TEST(NodeBudgetTest, ConsistencyDegradesToUnknown) {
       << report.unknown_reason;
 }
 
+TEST(ExternalCancelTest, CancelledTokenFailsEveryCountingPathCleanly) {
+  // The token is cancelled before the call: the sharded solvers skip
+  // every queued shard on it without charging the budget, and must still
+  // report the cancellation rather than an empty (inconsistent) count.
+  limits::CancelToken token;
+  token.Cancel();
+  const AlgebraExprPtr plan = AlgebraExpr::Base("R", 1);
+  for (const size_t threads : {1, 4}) {
+    QuerySystem::Options options;
+    options.threads = threads;
+    options.cancel = token;
+    PSC_ASSERT_OK_AND_ASSIGN(
+        const QuerySystem system,
+        QuerySystem::Create(Example51Collection(), options));
+    EXPECT_EQ(system.BaseConfidences(IntDomain(4)).status().code(),
+              StatusCode::kDeadlineExceeded)
+        << "threads " << threads;
+    EXPECT_EQ(system.AnswerCompositional(plan, IntDomain(4)).status().code(),
+              StatusCode::kDeadlineExceeded)
+        << "threads " << threads;
+    EXPECT_EQ(system.AnswerMonteCarlo(plan, IntDomain(4), 256, 7)
+                  .status()
+                  .code(),
+              StatusCode::kDeadlineExceeded)
+        << "threads " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace psc

@@ -186,7 +186,8 @@ TEST(RankTest, HierarchyConstantsAreStrictlyOrderedWhereNested) {
   EXPECT_LT(kRankDeltaCache, kRankEvalIndexCache);    // rebuild touches eval
   EXPECT_LT(kRankDeltaCache, kRankMemoShard);         // rebuild touches memo
   EXPECT_LT(kRankExecQueue, kRankObsMetrics);         // TrySteal counters
-  EXPECT_LT(kRankSearchOutcome, kRankSearchBlocks);
+  EXPECT_LT(kRankDeltaCache, kRankExecSharedPools);   // solvers borrow a pool
+  EXPECT_LT(kRankExecSharedPools, kRankObsMetrics);  // pool ctor counters
   EXPECT_LT(kRankObsScopeTrip, kRankObsScopeRegistry);
   EXPECT_LT(kRankObsLogSeen, kRankObsLogSink);
 }

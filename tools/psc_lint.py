@@ -23,6 +23,10 @@ cannot (see DESIGN.md §14):
   detach         No std::thread::detach(): a detached thread outlives
                  every shutdown protocol in the tree (Engine::Drain, pool
                  joins) and turns clean process exit into a race.
+  pool-ctor      No exec::ThreadPool construction outside src/psc/exec/.
+                 The process has one executor: callers borrow
+                 exec::SharedPool(threads), so no call spawns or joins
+                 worker threads.
 
 Waivers: append `// psc-lint: allow(<rule>)` to the offending line, with
 a justification comment nearby. Waivers are themselves counted and
@@ -68,6 +72,20 @@ METRIC_MACRO_PATTERN = re.compile(
 
 DETACH_PATTERN = re.compile(r"\.\s*detach\s*\(\s*\)")
 
+# Directories whose files may construct a ThreadPool: the executor itself.
+POOL_CTOR_ALLOWED = ("src/psc/exec/",)
+
+# `ThreadPool pool(n)` / `ThreadPool pool{n}`, a temporary
+# `ThreadPool(n)`, `new ThreadPool`, make_unique/make_shared and
+# optional<ThreadPool> (constructed through emplace). Pointers and
+# references (`ThreadPool* pool`, `ThreadPool& pool`) do not match.
+POOL_CTOR_PATTERN = re.compile(
+    r"\bThreadPool\s+\w+\s*[({]"
+    r"|(?<![~\w])ThreadPool\s*[({]"
+    r"|\bnew\s+(?:\w+::)*ThreadPool\b"
+    r"|\bmake_(?:unique|shared)\s*<\s*(?:\w+::)*ThreadPool\s*>"
+    r"|\boptional\s*<\s*(?:\w+::)*ThreadPool\s*>")
+
 WAIVER_PATTERN = re.compile(r"//\s*psc-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp", ".cxx")
@@ -84,7 +102,12 @@ FIX_SUGGESTIONS = {
                       "the metric name"),
     "detach": ("keep the std::thread joinable and join it from the owner's "
                "destructor or shutdown path"),
+    "pool-ctor": ("borrow the process-wide pool with "
+                  "exec::SharedPool(threads) (src/psc/exec/thread_pool.h); "
+                  "a null result means run the shards inline"),
 }
+
+RULES = ("raw-sync", "raw-clock", "metric-prefix", "detach", "pool-ctor")
 
 
 def load_known_prefixes(root):
@@ -137,6 +160,7 @@ def lint_lines(rel_path, lines, known_prefixes):
     in_block_comment = False
     sync_exempt = any(rel_path.startswith(d) for d in RAW_SYNC_ALLOWED)
     clock_exempt = any(rel_path.startswith(d) for d in RAW_CLOCK_ALLOWED)
+    pool_exempt = any(rel_path.startswith(d) for d in POOL_CTOR_ALLOWED)
     for lineno, raw_line in enumerate(lines, start=1):
         waiver = WAIVER_PATTERN.search(raw_line)
         waived_rules = set()
@@ -186,6 +210,12 @@ def lint_lines(rel_path, lines, known_prefixes):
         match = DETACH_PATTERN.search(code)
         if match is not None and "thread" in code:
             yield emit("detach", "detached thread")
+        if not pool_exempt:
+            match = POOL_CTOR_PATTERN.search(code)
+            if match is not None:
+                yield emit("pool-ctor",
+                           "ThreadPool constructed outside psc/exec/: %r"
+                           % match.group(0).strip())
 
 
 def collect_files(root, paths, compile_commands):
@@ -292,6 +322,21 @@ SELF_TEST_SAMPLES = [
     ("src/psc/foo/bar.cc",
      "std::mutex special;  // psc-lint: allow(raw-sync)", []),
     ("src/psc/foo/bar.cc", "sync::MutexLock lock(&mu_);", []),
+    ("src/psc/foo/bar.cc", "exec::ThreadPool pool(threads);",
+     ["pool-ctor"]),
+    ("src/psc/foo/bar.cc",
+     "batch_pool_ = std::make_unique<exec::ThreadPool>(4);", ["pool-ctor"]),
+    ("src/psc/foo/bar.cc", "std::optional<exec::ThreadPool> pool;",
+     ["pool-ctor"]),
+    ("src/psc/foo/bar.cc", "auto* pool = new ThreadPool(width);",
+     ["pool-ctor"]),
+    ("src/psc/foo/bar.cc", "Run(exec::ThreadPool(2));", ["pool-ctor"]),
+    ("src/psc/foo/bar.cc",
+     "exec::ThreadPool* pool = exec::SharedPool(threads);", []),
+    ("src/psc/foo/bar.cc", "void Run(exec::ThreadPool* pool);", []),
+    ("src/psc/foo/bar.cc", "class ThreadPool;", []),
+    ("src/psc/exec/thread_pool.cc",
+     "if (pool == nullptr) pool = new ThreadPool(width);", []),  # the owner
 ]
 
 
@@ -310,11 +355,11 @@ def run_self_test(root):
             failures += 1
     # Every rule string used in waivers/suggestions must be a real rule.
     for rule in FIX_SUGGESTIONS:
-        if rule not in ("raw-sync", "raw-clock", "metric-prefix", "detach"):
+        if rule not in RULES:
             print("SELF-TEST FAIL unknown rule %r" % rule, file=sys.stderr)
             failures += 1
     # --fix-suggestions rendering: every rule must produce a hint line.
-    for rule in ("raw-sync", "raw-clock", "metric-prefix", "detach"):
+    for rule in RULES:
         rendered = Finding("src/psc/foo/bar.cc", 1, rule, "sample").render(
             fix_suggestions=True)
         if "\n    fix: " not in rendered:

@@ -16,8 +16,9 @@
 //                              repeated, each paired with the preceding
 //                              --name (default name: "default")
 //   --name NAME                collection name for the next --load
-//   --threads N                solver threads per request (0 = auto)
-//   --dispatchers N            dispatcher threads (default 2)
+//   --threads N                solver threads per request (0 = auto,
+//                              at most 1024)
+//   --dispatchers N            dispatcher threads (default 2, 1..1024)
 //   --max-queue N              admission-control queue bound (default 1024)
 //   --max-batch N              max answer requests fused per batch (16)
 //   --deadline-ceiling-ms N    per-request deadline ceiling (0 = none)
@@ -111,6 +112,18 @@ Result<DaemonOptions> ParseArgs(int argc, char** argv) {
       }
       return static_cast<uint64_t>(parsed);
     };
+    // Thread counts share psc's and PSC_THREADS's cap, checked before any
+    // thread starts: an unbounded value would ask for that many workers.
+    const auto next_thread_count = [&](uint64_t min) -> Result<size_t> {
+      constexpr uint64_t kMaxThreads = 1024;
+      PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
+      if (n < min || n > kMaxThreads) {
+        return Status::InvalidArgument(StrCat(arg, " expects an integer in [",
+                                              min, ", ", kMaxThreads,
+                                              "], got '", argv[i], "'"));
+      }
+      return static_cast<size_t>(n);
+    };
     if (arg == "--unix") {
       PSC_ASSIGN_OR_RETURN(options.socket.unix_path, next());
       endpoint_given = true;
@@ -126,14 +139,11 @@ Result<DaemonOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--name") {
       PSC_ASSIGN_OR_RETURN(pending_name, next());
     } else if (arg == "--threads") {
-      PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
-      options.engine.solver_threads = static_cast<size_t>(n);
+      PSC_ASSIGN_OR_RETURN(options.engine.solver_threads,
+                           next_thread_count(0));
     } else if (arg == "--dispatchers") {
-      PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
-      if (n == 0) {
-        return Status::InvalidArgument("--dispatchers must be at least 1");
-      }
-      options.engine.dispatch_threads = static_cast<size_t>(n);
+      PSC_ASSIGN_OR_RETURN(options.engine.dispatch_threads,
+                           next_thread_count(1));
     } else if (arg == "--max-queue") {
       PSC_ASSIGN_OR_RETURN(const uint64_t n, next_uint());
       options.engine.max_queue = static_cast<size_t>(n);
